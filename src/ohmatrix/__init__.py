@@ -43,7 +43,6 @@ from .signed import (
     OrientedSignedGraph,
     from_hypergraph,
     line_graph,
-    signed_graph_identities,
     to_hypergraph,
     underlying_is_simple,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "OrientedSignedGraph",
     "from_hypergraph",
     "line_graph",
-    "signed_graph_identities",
     "to_hypergraph",
     "underlying_is_simple",
     "FORMAT_VERSION",

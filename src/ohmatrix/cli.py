@@ -24,13 +24,11 @@ from .walks import (
     EnumerationLimitError,
     EnumerationLimits,
     enumerate_walks,
-    walk_counts,
     walk_matrix,
     walk_sign,
     weak_walk_matrix,
 )
 from .io import (
-    InstanceFormatError,
     parse_instance,
     parse_switching,
     random_bidirected_instance,
@@ -94,17 +92,18 @@ def cmd_walks(args) -> int:
     g = _load_instance(args.instance)
     limits = EnumerationLimits(max_incidences=args.max_incidences, max_walks=args.max_walks)
     walks = enumerate_walks(g, args.src, args.dst, args.n, weak=args.weak, limits=limits)
-    counts = walk_counts(g, args.src, args.dst, args.n, weak=args.weak, limits=limits)
+    signs = [walk_sign(g, w) for w in walks]
+    positive = signs.count(1)
     doc = {
         "from": args.src,
         "to": args.dst,
         "half_length_numerator": args.n,
         "weak": args.weak,
         "counts": {
-            "total": counts.total,
-            "positive": counts.positive,
-            "negative": counts.negative,
-            "signed_net": counts.signed_net,
+            "total": len(signs),
+            "positive": positive,
+            "negative": len(signs) - positive,
+            "signed_net": sum(signs),
         },
         "walks": [
             {
@@ -113,9 +112,9 @@ def cmd_walks(args) -> int:
                     {"v": i.vertex, "e": i.edge, "k": i.mult_index, "sign": i.sign}
                     for i in w.incidences
                 ],
-                "sign": walk_sign(g, w),
+                "sign": sign,
             }
-            for w in walks
+            for w, sign in zip(walks, signs)
         ],
     }
     print(json.dumps(doc, indent=2))
@@ -272,13 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (EnumerationLimitError, RecursionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

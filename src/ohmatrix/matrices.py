@@ -43,12 +43,6 @@ class LabeledIntegerMatrix:
                     raise TypeError(f"matrix entries must be integers, got {x!r}")
 
     @classmethod
-    def zeros(cls, row_labels: Iterable[str], col_labels: Iterable[str]) -> "LabeledIntegerMatrix":
-        rows = tuple(row_labels)
-        cols = tuple(col_labels)
-        return cls(rows, cols, tuple((0,) * len(cols) for _ in rows))
-
-    @classmethod
     def identity(cls, labels: Iterable[str]) -> "LabeledIntegerMatrix":
         labels = tuple(labels)
         n = len(labels)

@@ -14,12 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import Incidence, OrientedHypergraph
-from .matrices import (
-    LabeledIntegerMatrix,
-    adjacency_matrix,
-    incidence_matrix,
-    laplacian,
-)
 
 
 @dataclass(frozen=True)
@@ -204,22 +198,3 @@ def line_graph(s: OrientedSignedGraph) -> OrientedSignedGraph:
                 orientation[(e2, f)] = s.orientation[(v, e2)]
     return OrientedSignedGraph.from_orientation(s.edges, line_edges, endpoints, orientation)
 
-
-def signed_graph_identities(s: OrientedSignedGraph) -> list[str]:
-    """Check the incidence and line-graph identities; empty means all hold.
-
-    1. H H^T = D - A (the Laplacian) for the two-incidence realization.
-    2. H^T H = 2I - A_line, where A_line is the adjacency matrix of the
-       line graph.
-    """
-    g = to_hypergraph(s)
-    h = incidence_matrix(g)
-    problems: list[str] = []
-    if h @ h.transpose() != laplacian(g):
-        problems.append("H * H^T differs from D - A")
-    lam = line_graph(s)
-    a_line = adjacency_matrix(to_hypergraph(lam))
-    two_i = LabeledIntegerMatrix.diagonal(g.edges, [2] * len(g.edges))
-    if h.transpose() @ h != two_i - a_line:
-        problems.append("H^T * H differs from 2I - A of the line graph")
-    return problems

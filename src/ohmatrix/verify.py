@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import (
+    Incidence,
     OrientedHypergraph,
     SwitchingFunction,
     incidence_dual,
@@ -47,7 +48,8 @@ class VerifyOptions:
     Family mode generates ``trials`` random instances within the size caps;
     ``non_simple_rate`` is the fraction of trials that use a generator with
     repeated incidences.  ``max_walk_incidences`` bounds the walk oracle
-    (adjacency powers are checked up to half that many steps).
+    (adjacency powers are checked up to half that many steps).  Negative
+    counts raise ValueError, since they would pass checks that never ran.
     """
 
     trials: int = 100
@@ -59,6 +61,12 @@ class VerifyOptions:
     non_simple_rate: float = 0.3
     limits: EnumerationLimits = field(default_factory=EnumerationLimits)
     self_test: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("trials", "max_vertices", "max_edges", "max_edge_size",
+                     "max_walk_incidences", "switching_trials"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -126,42 +134,109 @@ def _matrix_diff(
     return f"{left_name} differs from {right_name} at {shown}"
 
 
-class _Recorder:
-    def __init__(self, g: OrientedHypergraph, seed: int | None, trial: int | None):
-        self.g = g
-        self.seed = seed
-        self.trial = trial
-        self.summary = _summary(g, trial)
-        self.results: list[CheckResult] = []
+def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: int):
+    """Yield ``(check_name, None or mismatch text)`` for each applicable check.
 
-    def _counterexample(self, detail: str) -> str:
-        return f"{detail}\ninstance:\n{serialize_instance(self.g)}"
+    This is the one list of per-instance checks, in run order.  A resource
+    ceiling raises out of the generator, so a trial cut short reports none
+    of its checks.
+    """
+    simple = is_simple(g)
+    limits = options.limits
 
-    def matrices(self, name, left_name, left, right_name, right, extra: str = "") -> None:
-        diff = _matrix_diff(left_name, left, right_name, right)
-        if diff is None:
-            self.results.append(
-                CheckResult(name, self.summary, "pass", None, self.seed, self.trial)
-            )
-        else:
-            if extra:
-                diff = f"{diff} [{extra}]"
-            self.results.append(
-                CheckResult(
-                    name, self.summary, "fail", self._counterexample(diff), self.seed, self.trial
-                )
-            )
+    h = incidence_matrix(g)
+    ht = h.transpose()
+    hth = ht @ h
+    a = adjacency_matrix(g)
+    d = degree_matrix(g)
+    lap = laplacian(g)
+    gd = incidence_dual(g)
 
-    def condition(self, name, ok: bool, detail: str) -> None:
-        self.results.append(
-            CheckResult(
-                name,
-                self.summary,
-                "pass" if ok else "fail",
-                None if ok else self._counterexample(detail),
-                self.seed,
-                self.trial,
-            )
+    yield "duality_involution", None if incidence_dual(gd) == g else (
+        "applying the incidence dual twice did not restore the instance"
+    )
+    yield "incidence_dual_transpose", _matrix_diff(
+        "H of the dual", incidence_matrix(gd), "H transposed", ht
+    )
+    yield "laplacian_decomposition", _matrix_diff("L", lap, "D - A", d - a)
+    yield "laplacian_incidence_product", _matrix_diff("L", lap, "H * H^T", h @ ht)
+    yield "dual_laplacian_product", _matrix_diff("L of the dual", laplacian(gd), "H^T * H", hth)
+
+    sizes = {g.edge_size(e) for e in g.edges}
+    if simple and len(sizes) == 1:
+        (k,) = sizes
+        # Also reused by the line-graph checks, which need sizes == {2}.
+        a_dual = adjacency_matrix(gd)
+        ki = LabeledIntegerMatrix.diagonal(g.edges, [k] * len(g.edges))
+        yield "uniform_dual_identity", _matrix_diff(
+            "H^T * H", hth, f"{k}I - A of the dual", ki - a_dual
+        )
+
+    half = walk_matrix(g, "V", "E", 1, limits)
+    yield "half_walk_incidence", _matrix_diff("half-step walk matrix", half, "H", h)
+    yield "half_walk_laplacian", _matrix_diff(
+        "product of half-step walk matrices",
+        half @ walk_matrix(g, "E", "V", 1, limits),
+        "L", lap,
+    )
+
+    oracle_diff = None
+    for k in range(options.max_walk_incidences // 2 + 1):
+        oracle_diff = _matrix_diff(
+            f"A^{k}", a.power(k), f"signed {k}-step walk counts", walk_matrix(g, "V", "V", 2 * k, limits)
+        )
+        if oracle_diff is not None:
+            break
+    yield "walk_oracle_power" if simple else "walk_oracle_power_nonsimple", oracle_diff
+
+    backstep_bad = [v for v in g.vertices if backstep_count(g, v) != g.degree(v)]
+    degree_bad, lap_bad = [], []
+    for i, vi in enumerate(g.vertices):
+        for j, vj in enumerate(g.vertices):
+            weak_total = walk_counts(g, vi, vj, 2, weak=True, limits=limits).total
+            strict = walk_counts(g, vi, vj, 2, weak=False, limits=limits)
+            if weak_total - strict.total != d.entries[i][j]:
+                degree_bad.append(f"({vi}, {vj})")
+            if lap.entries[i][j] != weak_total - 2 * strict.positive:
+                lap_bad.append(f"({vi}, {vj})")
+    yield "degree_backsteps", None if not backstep_bad and not degree_bad else (
+        f"backstep count mismatches at {backstep_bad}; "
+        f"weak minus strict walk totals mismatch degree matrix at {degree_bad}"
+    )
+    yield "laplacian_walk_entries", None if not lap_bad else (
+        f"L entry differs from weak total minus twice the positive count at {lap_bad}"
+    )
+
+    if simple:
+        yield "weak_walk_laplacian", _matrix_diff(
+            "weak one-step walk matrix", weak_walk_matrix(g, "V", "V", 2, limits), "-L", -lap
+        )
+
+    def switching_diffs():
+        theta_rng = random.Random(theta_seed)
+        for _ in range(options.switching_trials):
+            theta = SwitchingFunction({v: theta_rng.choice((1, -1)) for v in g.vertices})
+            dt = switching_matrix(theta, g.vertices)
+            gs = switch(g, theta)
+            for name, left, right in (
+                ("A", adjacency_matrix(gs), dt.transpose() @ a @ dt),
+                ("H", incidence_matrix(gs), dt @ h),
+                ("L", laplacian(gs), dt.transpose() @ lap @ dt),
+            ):
+                diff = _matrix_diff(f"{name} after switching", left, f"conjugated {name}", right)
+                if diff is not None:
+                    yield f"{diff} [theta={theta.assignment}]"
+
+    yield "switching_conjugation", next(switching_diffs(), None)
+
+    if simple and sizes == {2} and underlying_is_simple(s := from_hypergraph(g)):
+        a_line = adjacency_matrix(to_hypergraph(line_graph(s)))
+        yield "line_graph_dual_adjacency", _matrix_diff(
+            "A of the line graph", a_line, "A of the dual", a_dual
+        )
+        two_i = LabeledIntegerMatrix.diagonal(g.edges, [2] * len(g.edges))
+        yield "line_graph_incidence_identity", _matrix_diff(
+            "H^T * H", hth, "2I - A of the line graph", two_i - a_line
         )
 
 
@@ -172,153 +247,22 @@ def _instance_checks(
     options: VerifyOptions,
     theta_seed: int,
 ) -> list[CheckResult]:
-    rec = _Recorder(g, seed, trial)
-    simple = is_simple(g)
-    limits = options.limits
-
-    h = incidence_matrix(g)
-    a = adjacency_matrix(g)
-    d = degree_matrix(g)
-    lap = laplacian(g)
-    gd = incidence_dual(g)
-
-    rec.condition(
-        "duality_involution",
-        incidence_dual(gd) == g,
-        "applying the incidence dual twice did not restore the instance",
-    )
-    rec.matrices(
-        "incidence_dual_transpose",
-        "H of the dual", incidence_matrix(gd),
-        "H transposed", h.transpose(),
-    )
-    rec.matrices("laplacian_decomposition", "L", lap, "D - A", d - a)
-    rec.matrices("laplacian_incidence_product", "L", lap, "H * H^T", h @ h.transpose())
-    rec.matrices(
-        "dual_laplacian_product",
-        "L of the dual", laplacian(gd),
-        "H^T * H", h.transpose() @ h,
-    )
-
-    sizes = {g.edge_size(e) for e in g.edges}
-    if simple and len(sizes) == 1:
-        k = next(iter(sizes))
-        ki = LabeledIntegerMatrix.diagonal(g.edges, [k] * len(g.edges))
-        rec.matrices(
-            "uniform_dual_identity",
-            "H^T * H", h.transpose() @ h,
-            f"{k}I - A of the dual", ki - adjacency_matrix(gd),
-        )
-
-    rec.matrices("half_walk_incidence", "half-step walk matrix", walk_matrix(g, "V", "E", 1, limits), "H", h)
-    rec.matrices(
-        "half_walk_laplacian",
-        "product of half-step walk matrices",
-        walk_matrix(g, "V", "E", 1, limits) @ walk_matrix(g, "E", "V", 1, limits),
-        "L", lap,
-    )
-
-    oracle_name = "walk_oracle_power" if simple else "walk_oracle_power_nonsimple"
-    oracle_diff = None
-    for k in range(0, options.max_walk_incidences // 2 + 1):
-        oracle_diff = _matrix_diff(
-            f"A^{k}", a.power(k), f"signed {k}-step walk counts", walk_matrix(g, "V", "V", 2 * k, limits)
-        )
-        if oracle_diff is not None:
-            break
-    rec.condition(oracle_name, oracle_diff is None, oracle_diff or "")
-
-    backstep_bad = [
-        v for v in g.vertices if backstep_count(g, v) != g.degree(v)
+    summary = _summary(g, trial)
+    return [
+        CheckResult(name, summary, "pass" if diff is None else "fail",
+                    diff and f"{diff}\ninstance:\n{serialize_instance(g)}", seed, trial)
+        for name, diff in _identity_diffs(g, options, theta_seed)
     ]
-    degree_bad = []
-    for i, vi in enumerate(g.vertices):
-        for j, vj in enumerate(g.vertices):
-            weak_total = walk_counts(g, vi, vj, 2, weak=True, limits=limits).total
-            strict_total = walk_counts(g, vi, vj, 2, weak=False, limits=limits).total
-            if weak_total - strict_total != d.entries[i][j]:
-                degree_bad.append(f"({vi}, {vj})")
-    rec.condition(
-        "degree_backsteps",
-        not backstep_bad and not degree_bad,
-        f"backstep count mismatches at {backstep_bad}; "
-        f"weak minus strict walk totals mismatch degree matrix at {degree_bad}",
-    )
-
-    lap_bad = []
-    for i, vi in enumerate(g.vertices):
-        for j, vj in enumerate(g.vertices):
-            weak_total = walk_counts(g, vi, vj, 2, weak=True, limits=limits).total
-            plus = walk_counts(g, vi, vj, 2, weak=False, limits=limits).positive
-            if lap.entries[i][j] != weak_total - 2 * plus:
-                lap_bad.append(f"({vi}, {vj})")
-    rec.condition(
-        "laplacian_walk_entries",
-        not lap_bad,
-        f"L entry differs from weak total minus twice the positive count at {lap_bad}",
-    )
-
-    if simple:
-        rec.matrices(
-            "weak_walk_laplacian",
-            "weak one-step walk matrix", weak_walk_matrix(g, "V", "V", 2, limits),
-            "-L", -lap,
-        )
-
-    theta_rng = random.Random(theta_seed)
-    switching_diff = None
-    for _ in range(options.switching_trials):
-        theta = SwitchingFunction({v: theta_rng.choice((1, -1)) for v in g.vertices})
-        dt = switching_matrix(theta, g.vertices)
-        gs = switch(g, theta)
-        for name, left, right in (
-            ("A", adjacency_matrix(gs), dt.transpose() @ a @ dt),
-            ("H", incidence_matrix(gs), dt @ h),
-            ("L", laplacian(gs), dt.transpose() @ lap @ dt),
-        ):
-            switching_diff = _matrix_diff(f"{name} after switching", left, f"conjugated {name}", right)
-            if switching_diff is not None:
-                switching_diff += f" [theta={theta.assignment}]"
-                break
-        if switching_diff is not None:
-            break
-    rec.condition("switching_conjugation", switching_diff is None, switching_diff or "")
-
-    if simple and sizes == {2}:
-        s = from_hypergraph(g)
-        if underlying_is_simple(s):
-            lam = line_graph(s)
-            a_line = adjacency_matrix(to_hypergraph(lam))
-            rec.matrices(
-                "line_graph_dual_adjacency",
-                "A of the line graph", a_line,
-                "A of the dual", adjacency_matrix(gd),
-            )
-            two_i = LabeledIntegerMatrix.diagonal(g.edges, [2] * len(g.edges))
-            rec.matrices(
-                "line_graph_incidence_identity",
-                "H^T * H", h.transpose() @ h,
-                "2I - A of the line graph", two_i - a_line,
-            )
-
-    return rec.results
 
 
 def _harness_self_test() -> CheckResult:
-    from .core import Incidence
-
     g = OrientedHypergraph(
         ("v1", "v2"), ("e1",), (Incidence("v1", "e1", 1, 1), Incidence("v2", "e1", 1, 1))
     )
     lap = laplacian(g)
-    corrupted = LabeledIntegerMatrix(
-        lap.row_labels,
-        lap.col_labels,
-        [
-            [x + (1 if i == 0 and j == 0 else 0) for j, x in enumerate(row)]
-            for i, row in enumerate(lap.entries)
-        ],
-    )
+    bumped = [list(row) for row in lap.entries]
+    bumped[0][0] += 1
+    corrupted = LabeledIntegerMatrix(lap.row_labels, lap.col_labels, bumped)
     diff = _matrix_diff("corrupted L", corrupted, "D - A", degree_matrix(g) - adjacency_matrix(g))
     detected = diff is not None and "(v1, v1)" in diff
     return CheckResult(
@@ -326,8 +270,6 @@ def _harness_self_test() -> CheckResult:
         _summary(g),
         "pass" if detected else "fail",
         None if detected else "a corrupted Laplacian entry went undetected",
-        None,
-        None,
     )
 
 

@@ -167,6 +167,35 @@ def test_verify_resource_ceiling_exits_nonzero(tmp_path, capsys):
     assert "INCOMPLETE" in capsys.readouterr().out
 
 
+def test_verify_negative_counts_exit_2(instance_file, capsys):
+    args = ["verify", instance_file, "--max-walk-incidences", "-4", "--switching-trials", "-3"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error: max_walk_incidences")
+
+
+def test_verify_zero_trials_exits_0(capsys):
+    assert main(["verify", "--seed", "0", "--trials", "0"]) == 0
+    assert capsys.readouterr().out == "0 checks: 0 passed, 0 failed\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["walk-matrix", "--rows", "V", "--cols", "V", "--n", "2000", "--max-incidences", "5000"],
+        ["walks", "--from", "v1", "--to", "v2", "--n", "2000", "--max-incidences", "5000"],
+        ["verify", "--max-walk-incidences", "3000"],
+    ],
+)
+def test_deep_requests_succeed_or_exit_2(instance_file, capsys, args):
+    code = main([args[0], instance_file, *args[1:]])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith("error:")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "nonsense-kind", "-"])

@@ -6,13 +6,15 @@ from ohmatrix import (
     Incidence,
     OrientedHypergraph,
     OrientedSignedGraph,
+    VerifyOptions,
     adjacency_matrix,
+    format_report,
     from_hypergraph,
     incidence_dual,
     incidence_matrix,
     line_graph,
     random_bidirected_instance,
-    signed_graph_identities,
+    run_verify_suite,
     to_hypergraph,
     underlying_is_simple,
 )
@@ -27,10 +29,10 @@ def loop_graph():
 
 
 @st.composite
-def bidirected_instances(draw, max_vertices=6, max_edges=6):
+def bidirected_instances(draw, max_vertices=6, max_edges=6, min_edges=0):
     nv = draw(st.integers(2, max_vertices))
     cap = min(max_edges, nv * (nv - 1) // 2)
-    ne = draw(st.integers(0, cap))
+    ne = draw(st.integers(min_edges, cap))
     seed = draw(st.integers(0, 2**48))
     return random_bidirected_instance(seed, nv, ne)
 
@@ -167,21 +169,33 @@ class TestLineGraph:
         assert adjacency_matrix(to_hypergraph(lam)) == adjacency_matrix(incidence_dual(g))
 
 
+LINE_GRAPH_CHECKS = (
+    "laplacian_incidence_product",
+    "line_graph_dual_adjacency",
+    "line_graph_incidence_identity",
+)
+
+
+def assert_line_graph_checks_pass(g):
+    """The verify suite runs and passes both line-graph identities on ``g``."""
+    report = run_verify_suite(g, options=VerifyOptions(max_walk_incidences=2, switching_trials=1))
+    status = {r.check_name: r.status for r in report.results}
+    assert {name: status.get(name) for name in LINE_GRAPH_CHECKS} == dict.fromkeys(
+        LINE_GRAPH_CHECKS, "pass"
+    ), format_report(report)
+
+
 class TestSignedGraphIdentities:
     def test_path_example(self):
-        assert signed_graph_identities(from_hypergraph(path3())) == []
+        assert_line_graph_checks_pass(path3())
 
     def test_single_edge(self):
         g = two_vertex_edge()
-        assert signed_graph_identities(from_hypergraph(g)) == []
+        assert_line_graph_checks_pass(g)
         h = incidence_matrix(g)
         assert (h.transpose() @ h).entries == ((2,),)
 
-    def test_empty_graph(self):
-        s = OrientedSignedGraph.from_orientation((), (), {}, {})
-        assert signed_graph_identities(s) == []
-
-    @given(bidirected_instances())
+    @given(bidirected_instances(min_edges=1))
     @settings(max_examples=30)
     def test_hold_on_random_instances(self, g):
-        assert signed_graph_identities(from_hypergraph(g)) == []
+        assert_line_graph_checks_pass(g)

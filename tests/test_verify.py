@@ -1,11 +1,16 @@
+from collections import Counter
+
 import pytest
 
+import ohmatrix.verify
 from ohmatrix import (
     EnumerationLimits,
+    LabeledIntegerMatrix,
     OrientedHypergraph,
     VerifyOptions,
     format_report,
     run_verify_suite,
+    serialize_instance,
 )
 
 from helpers import double_incidence, path3, two_vertex_edge, uniform3_edge
@@ -75,3 +80,71 @@ def test_format_report_lines():
     text = format_report(report)
     assert "PASS laplacian_decomposition" in text
     assert text.rstrip().splitlines()[-1].endswith("0 failed")
+
+
+def test_failing_check_carries_counterexample_and_seed(monkeypatch):
+    real_laplacian = ohmatrix.verify.laplacian
+
+    def off_by_one(g):
+        lap = real_laplacian(g)
+        rows = [list(row) for row in lap.entries]
+        rows[0][0] += 1
+        return LabeledIntegerMatrix(lap.row_labels, lap.col_labels, rows)
+
+    monkeypatch.setattr(ohmatrix.verify, "laplacian", off_by_one)
+    g = two_vertex_edge()
+    report = run_verify_suite(g, seed=11, options=FAST)
+    # Every check that reads L must notice; switching conjugation keeps (v1, v1).
+    assert sorted(r.check_name for r in report.failures) == [
+        "dual_laplacian_product",
+        "half_walk_laplacian",
+        "laplacian_decomposition",
+        "laplacian_incidence_product",
+        "laplacian_walk_entries",
+        "weak_walk_laplacian",
+    ]
+    [result] =[r for r in report.results if r.check_name == "laplacian_decomposition"]
+    assert (result.status, result.seed) == ("fail", 11)
+    assert result.counterexample == (
+        f"L differs from D - A at (v1, v1): 2 vs 1\ninstance:\n{serialize_instance(g)}"
+    )
+    text = format_report(report)
+    assert "FAIL laplacian_decomposition [|V|=2 |E|=1 |I|=2 simple=True] seed=11" in text
+    assert "  instance:\n" in text
+
+
+def test_family_check_inventory():
+    report = run_verify_suite(seed=17, options=FAST)
+    assert len(report.results) == 95
+    assert Counter(r.check_name for r in report.results) == {
+        "degree_backsteps": 8,
+        "dual_laplacian_product": 8,
+        "duality_involution": 8,
+        "half_walk_incidence": 8,
+        "half_walk_laplacian": 8,
+        "incidence_dual_transpose": 8,
+        "laplacian_decomposition": 8,
+        "laplacian_incidence_product": 8,
+        "laplacian_walk_entries": 8,
+        "switching_conjugation": 8,
+        "uniform_dual_identity": 1,
+        "walk_oracle_power": 6,
+        "walk_oracle_power_nonsimple": 2,
+        "weak_walk_laplacian": 6,
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["trials", "max_vertices", "max_edges", "max_edge_size", "max_walk_incidences",
+     "switching_trials"],
+)
+def test_negative_counts_are_rejected(name):
+    with pytest.raises(ValueError, match=name):
+        VerifyOptions(**{name: -1})
+
+
+def test_zero_trials_is_an_empty_pass():
+    report = run_verify_suite(seed=0, options=VerifyOptions(trials=0))
+    assert report.results == ()
+    assert report.passed()
