@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Re-derive the golden instance matrices through the walk enumerator alone.
 
+Every matrix here comes from ``oracle_walk_matrix`` (exhaustive search) or
+``backstep_count``, never from the closed-form walk matrices.
+
 The acceptance suite freezes these matrices as literals; this script shows
 where every number comes from: incidence matrices are half-step walk
 counts, adjacency matrices are one-step walk counts, degrees are backstep
@@ -13,9 +16,8 @@ from ohmatrix import (
     Incidence,
     OrientedHypergraph,
     backstep_count,
+    oracle_walk_matrix,
     serialize_matrix,
-    walk_matrix,
-    weak_walk_matrix,
 )
 
 GOLDENS = {
@@ -51,15 +53,15 @@ def main() -> int:
     for name, g in GOLDENS.items():
         print(f"== {name} ==")
         print("H from half-step walks:")
-        print(serialize_matrix(walk_matrix(g, "V", "E", 1)), end="")
+        print(serialize_matrix(oracle_walk_matrix(g, "V", "E", 1)), end="")
         print("A from one-step walks:")
-        print(serialize_matrix(walk_matrix(g, "V", "V", 2)), end="")
+        print(serialize_matrix(oracle_walk_matrix(g, "V", "V", 2)), end="")
         degrees = {v: backstep_count(g, v) for v in g.vertices}
         print(f"degrees from backsteps: {degrees}")
         print("L from negated weak one-step walks:")
-        print(serialize_matrix(-weak_walk_matrix(g, "V", "V", 2)), end="")
+        print(serialize_matrix(-oracle_walk_matrix(g, "V", "V", 2, weak=True)), end="")
         print("dual A from edge-to-edge one-step walks:")
-        print(serialize_matrix(walk_matrix(g, "E", "E", 2)), end="")
+        print(serialize_matrix(oracle_walk_matrix(g, "E", "E", 2)), end="")
         print()
     return 0
 

@@ -34,6 +34,7 @@ from .walks import (
     WalkCounts,
     backstep_count,
     enumerate_walks,
+    oracle_walk_matrix,
     walk_counts,
     walk_matrix,
     walk_sign,
@@ -93,6 +94,7 @@ __all__ = [
     "WalkCounts",
     "backstep_count",
     "enumerate_walks",
+    "oracle_walk_matrix",
     "walk_counts",
     "walk_matrix",
     "walk_sign",

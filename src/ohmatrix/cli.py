@@ -7,6 +7,7 @@ verification finds a failure, 2 for usage and input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -123,9 +124,8 @@ def cmd_walks(args) -> int:
 
 def cmd_walk_matrix(args) -> int:
     g = _load_instance(args.instance)
-    limits = EnumerationLimits(max_incidences=args.max_incidences, max_walks=args.max_walks)
     build = weak_walk_matrix if args.weak else walk_matrix
-    m = build(g, args.rows, args.cols, args.n, limits=limits)
+    m = build(g, args.rows, args.cols, args.n)
     print(serialize_matrix(m, args.format), end="")
     return 0
 
@@ -162,11 +162,14 @@ def cmd_verify(args) -> int:
         max_edge_size=args.max_edge_size,
         max_walk_incidences=args.max_walk_incidences,
         switching_trials=args.switching_trials,
-        limits=EnumerationLimits(
-            max_incidences=max(args.max_walk_incidences, 12), max_walks=args.max_walks
-        ),
         self_test=args.self_test,
     )
+    # Built once the options are checked, so that a request deeper than the
+    # cap is reported under the option the user gave.
+    limits = EnumerationLimits(
+        max_incidences=max(options.max_walk_incidences, 12), max_walks=args.max_walks
+    )
+    options = dataclasses.replace(options, limits=limits)
     instance = _load_instance(args.instance) if args.instance else None
     report = run_verify_suite(instance, seed=args.seed, options=options)
     print(format_report(report), end="")
@@ -175,13 +178,6 @@ def cmd_verify(args) -> int:
 
 def _add_instance_argument(parser) -> None:
     parser.add_argument("instance", help="instance file path, or - for stdin")
-
-
-def _add_limit_arguments(parser) -> None:
-    parser.add_argument("--max-incidences", type=int, default=12,
-                        help="ceiling on the incidence count (default 12)")
-    parser.add_argument("--max-walks", type=int, default=1_000_000,
-                        help="ceiling on generated walks per search (default 1000000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="dst", required=True, help="end anchor label")
     p.add_argument("--n", type=int, required=True, help="incidence count (twice the length)")
     p.add_argument("--weak", action="store_true", help="allow immediate returns")
-    _add_limit_arguments(p)
+    p.add_argument("--max-incidences", type=int, default=12,
+                   help="ceiling on the incidence count (default 12, at most 500)")
+    p.add_argument("--max-walks", type=int, default=1_000_000,
+                   help="ceiling on generated walks per search (default 1000000)")
     p.set_defaults(func=cmd_walks)
 
     p = sub.add_parser("walk-matrix", help="signed net walk counts between anchor families")
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="incidence count (twice the length)")
     p.add_argument("--weak", action="store_true", help="count weak walks")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_limit_arguments(p)
     p.set_defaults(func=cmd_walk_matrix)
 
     p = sub.add_parser("linegraph", help="line graph of a two-incidence instance")

@@ -112,6 +112,15 @@ class OrientedHypergraph:
             buckets[inc.edge].append(inc)
         return {e: tuple(incs) for e, incs in buckets.items()}
 
+    @cached_property
+    def _walk_tables(self):
+        """Per-vertex and per-edge ``(other_index, sign, incidence)`` tuples in canonical order."""
+        vi, ei = self.vertex_index, self.edge_index
+        return (
+            tuple(tuple((ei[i.edge], i.sign, i) for i in row) for row in self._by_vertex.values()),
+            tuple(tuple((vi[i.vertex], i.sign, i) for i in row) for row in self._by_edge.values()),
+        )
+
     def incidences_at_vertex(self, vertex: str) -> tuple[Incidence, ...]:
         """All incidences containing ``vertex``, in canonical order."""
         try:

@@ -31,9 +31,11 @@ from .matrices import (
 )
 from .signed import from_hypergraph, line_graph, to_hypergraph, underlying_is_simple
 from .walks import (
+    INCIDENCE_CAP,
     EnumerationLimits,
     EnumerationLimitError,
     backstep_count,
+    oracle_walk_matrix,
     walk_counts,
     walk_matrix,
     weak_walk_matrix,
@@ -48,8 +50,10 @@ class VerifyOptions:
     Family mode generates ``trials`` random instances within the size caps;
     ``non_simple_rate`` is the fraction of trials that use a generator with
     repeated incidences.  ``max_walk_incidences`` bounds the walk oracle
-    (adjacency powers are checked up to half that many steps).  Negative
-    counts raise ValueError, since they would pass checks that never ran.
+    (adjacency powers are checked up to half that many steps) and may not
+    exceed ``INCIDENCE_CAP``.  Negative counts raise ValueError, since they
+    would pass checks that never ran, and so do size caps below 1, which
+    no random instance can meet.
     """
 
     trials: int = 100
@@ -63,10 +67,16 @@ class VerifyOptions:
     self_test: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("trials", "max_vertices", "max_edges", "max_edge_size",
-                     "max_walk_incidences", "switching_trials"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name, least in (("trials", 0), ("max_vertices", 1), ("max_edges", 0),
+                            ("max_edge_size", 1), ("max_walk_incidences", 0),
+                            ("switching_trials", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.max_walk_incidences > INCIDENCE_CAP:
+            raise ValueError(
+                f"max_walk_incidences must be at most {INCIDENCE_CAP}, "
+                f"got {self.max_walk_incidences}"
+            )
 
 
 @dataclass(frozen=True)
@@ -172,18 +182,20 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
             "H^T * H", hth, f"{k}I - A of the dual", ki - a_dual
         )
 
-    half = walk_matrix(g, "V", "E", 1, limits)
+    half = oracle_walk_matrix(g, "V", "E", 1, limits=limits)
     yield "half_walk_incidence", _matrix_diff("half-step walk matrix", half, "H", h)
     yield "half_walk_laplacian", _matrix_diff(
         "product of half-step walk matrices",
-        half @ walk_matrix(g, "E", "V", 1, limits),
+        half @ oracle_walk_matrix(g, "E", "V", 1, limits=limits),
         "L", lap,
     )
 
     oracle_diff = None
     for k in range(options.max_walk_incidences // 2 + 1):
-        oracle_diff = _matrix_diff(
-            f"A^{k}", a.power(k), f"signed {k}-step walk counts", walk_matrix(g, "V", "V", 2 * k, limits)
+        counts = oracle_walk_matrix(g, "V", "V", 2 * k, limits=limits)
+        label = f"signed {k}-step walk counts"
+        oracle_diff = _matrix_diff(f"A^{k}", a.power(k), label, counts) or _matrix_diff(
+            f"walk matrix at n={2 * k}", walk_matrix(g, "V", "V", 2 * k), label, counts
         )
         if oracle_diff is not None:
             break
@@ -208,8 +220,10 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
     )
 
     if simple:
-        yield "weak_walk_laplacian", _matrix_diff(
-            "weak one-step walk matrix", weak_walk_matrix(g, "V", "V", 2, limits), "-L", -lap
+        weak_counts = oracle_walk_matrix(g, "V", "V", 2, weak=True, limits=limits)
+        label = "signed weak one-step walk counts"
+        yield "weak_walk_laplacian", _matrix_diff("-L", -lap, label, weak_counts) or _matrix_diff(
+            "weak walk matrix at n=2", weak_walk_matrix(g, "V", "V", 2), label, weak_counts
         )
 
     def switching_diffs():

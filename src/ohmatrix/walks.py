@@ -22,7 +22,9 @@ therefore always negative.
 
 Enumeration is exhaustive depth-first search and is intended as a
 desk-scale oracle; ceilings on the incidence count and on the number of
-generated walks keep runs bounded.
+generated walks keep runs bounded.  Walk matrices are computed in closed
+form instead (see :func:`walk_matrix`), with :func:`oracle_walk_matrix` as
+their brute-force reference.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from .core import Incidence, OrientedHypergraph
 from .matrices import LabeledIntegerMatrix
 
 
+# Deepest walk search allowed: well inside the interpreter's default
+# recursion limit of 1000 frames.
+INCIDENCE_CAP = 500
+
+
 class EnumerationLimitError(RuntimeError):
     """Raised when a walk search would exceed its configured ceilings."""
 
@@ -41,13 +48,20 @@ class EnumerationLimitError(RuntimeError):
 class EnumerationLimits:
     """Ceilings for a walk search.
 
-    ``max_incidences`` bounds the requested incidence count n;
+    ``max_incidences`` bounds the requested incidence count n, and may not
+    exceed ``INCIDENCE_CAP``, since the search recurses once per incidence;
     ``max_walks`` bounds the number of walk sequences generated during one
     search, counting every complete sequence regardless of its endpoint.
     """
 
     max_incidences: int = 12
     max_walks: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        if self.max_incidences > INCIDENCE_CAP:
+            raise ValueError(
+                f"max_incidences must be at most {INCIDENCE_CAP}, got {self.max_incidences}"
+            )
 
 
 DEFAULT_LIMITS = EnumerationLimits()
@@ -112,7 +126,9 @@ def _anchor_is_vertex(g: OrientedHypergraph, label: str) -> bool:
     raise ValueError(f"unknown anchor label {label!r}")
 
 
-def _require_parity(start_is_vertex: bool, end_is_vertex: bool, n: int) -> None:
+def _require_length(start_is_vertex: bool, end_is_vertex: bool, n: int) -> None:
+    if n < 0:
+        raise ValueError(f"incidence count must be nonnegative, got {n}")
     if start_is_vertex == end_is_vertex:
         if n % 2:
             kind = "vertices" if start_is_vertex else "edges"
@@ -121,27 +137,11 @@ def _require_parity(start_is_vertex: bool, end_is_vertex: bool, n: int) -> None:
         raise ValueError(f"walks between a vertex and an edge need an odd incidence count, got {n}")
 
 
-def _require_count(n: int, limits: EnumerationLimits) -> None:
-    if n < 0:
-        raise ValueError(f"incidence count must be nonnegative, got {n}")
+def _require_ceiling(n: int, limits: EnumerationLimits) -> None:
     if n > limits.max_incidences:
         raise EnumerationLimitError(
             f"incidence count {n} exceeds the ceiling of {limits.max_incidences}"
         )
-
-
-def _candidate_tables(g: OrientedHypergraph):
-    # Incidences sorted by the declared-order key so that depth-first search
-    # emits walks in lexicographic incidence order.
-    canon = sorted(g.incidences, key=g.incidence_sort_key)
-    at_vertex: list[list[tuple[int, int, int, Incidence]]] = [[] for _ in g.vertices]
-    at_edge: list[list[tuple[int, int, int, Incidence]]] = [[] for _ in g.edges]
-    for ident, inc in enumerate(canon):
-        vi = g.vertex_index[inc.vertex]
-        ei = g.edge_index[inc.edge]
-        at_vertex[vi].append((ident, ei, inc.sign, inc))
-        at_edge[ei].append((ident, vi, inc.sign, inc))
-    return at_vertex, at_edge
 
 
 def walk_sign(g: OrientedHypergraph, walk: Walk) -> int:
@@ -175,6 +175,48 @@ def _check_walk(g: OrientedHypergraph, walk: Walk) -> None:
         is_vertex = not is_vertex
 
 
+def _ceiling_error(limits: EnumerationLimits) -> EnumerationLimitError:
+    return EnumerationLimitError(
+        f"walk enumeration exceeded the ceiling of {limits.max_walks} walks"
+    )
+
+
+def _search(tables, start_is_vertex, start_idx, n, weak, limits, visit) -> None:
+    """The one walk search: depth-first over every walk with ``n`` incidences
+    from one anchor, in canonical order, whatever the endpoint.
+
+    Calls ``visit(end_index, incidences, sign)`` per walk; ``incidences`` is
+    the live stack.  Every complete walk counts against ``limits.max_walks``.
+    """
+    at_vertex, at_edge = tables
+    budget = [limits.max_walks]
+    incs: list[Incidence] = []
+
+    def descend(is_vertex: bool, idx: int, h: int, last: Incidence | None, prod: int) -> None:
+        check = not weak and h % 2 == 0
+        for other, sign, inc in at_vertex[idx] if is_vertex else at_edge[idx]:
+            if check and inc is last:
+                continue
+            incs.append(inc)
+            if h < n:
+                descend(not is_vertex, other, h + 1, inc, prod * sign)
+            else:
+                # The last incidence is handled in this loop rather than one
+                # call deeper: the oracle's cost is one call per walk.
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise _ceiling_error(limits)
+                visit(other, incs, prod * sign)
+            incs.pop()
+
+    if n:
+        descend(start_is_vertex, start_idx, 1, None, -1 if (n // 2) % 2 else 1)
+    elif limits.max_walks < 1:
+        raise _ceiling_error(limits)
+    else:
+        visit(start_idx, incs, 1)  # the trivial walk
+
+
 def enumerate_walks(
     g: OrientedHypergraph,
     start: str,
@@ -190,42 +232,21 @@ def enumerate_walks(
     incidence count 0 yields the single trivial walk when start == end.
     """
     n = half_length_numerator
-    _require_count(n, limits)
+    _require_ceiling(n, limits)
     start_is_vertex = _anchor_is_vertex(g, start)
     end_is_vertex = _anchor_is_vertex(g, end)
-    _require_parity(start_is_vertex, end_is_vertex, n)
-
-    at_vertex, at_edge = _candidate_tables(g)
-    vlabels, elabels = g.vertices, g.edges
-    start_idx = (g.vertex_index if start_is_vertex else g.edge_index)[start]
-
+    _require_length(start_is_vertex, end_is_vertex, n)
+    target = (g.vertex_index if end_is_vertex else g.edge_index)[end]
     walks: list[Walk] = []
-    budget = [limits.max_walks]
-    anchors: list[str] = [start]
-    incs: list[Incidence] = []
 
-    def descend(is_vertex: bool, idx: int, h: int) -> None:
-        if h > n:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise EnumerationLimitError(
-                    f"walk enumeration exceeded the ceiling of {limits.max_walks} walks"
-                )
-            if anchors[-1] == end:
-                walks.append(Walk(tuple(anchors), tuple(incs), weak))
-            return
-        check = not weak and h % 2 == 0
-        last = incs[-1] if incs else None
-        for _ident, other, _sign, inc in at_vertex[idx] if is_vertex else at_edge[idx]:
-            if check and inc == last:
-                continue
-            incs.append(inc)
-            anchors.append(elabels[other] if is_vertex else vlabels[other])
-            descend(not is_vertex, other, h + 1)
-            incs.pop()
-            anchors.pop()
+    def keep(end_idx: int, incs: list[Incidence], _sign: int) -> None:
+        if end_idx == target:
+            anchors = (start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
+                                for h, inc in enumerate(incs)))
+            walks.append(Walk(anchors, tuple(incs), weak))
 
-    descend(start_is_vertex, start_idx, 1)
+    index = g.vertex_index if start_is_vertex else g.edge_index
+    _search(g._walk_tables, start_is_vertex, index[start], n, weak, limits, keep)
     return walks
 
 
@@ -244,46 +265,6 @@ def walk_counts(
     return WalkCounts(len(walks), positive, negative, positive - negative)
 
 
-def _signed_totals(
-    g: OrientedHypergraph,
-    tables,
-    start_is_vertex: bool,
-    start_idx: int,
-    n: int,
-    weak: bool,
-    limits: EnumerationLimits,
-) -> list[int]:
-    """Signed net walk counts from one anchor, bucketed by final anchor index.
-
-    Same search as :func:`enumerate_walks`, with the sign accumulated along
-    the way instead of per-walk afterwards; the two are cross-checked in
-    the test suite.
-    """
-    at_vertex, at_edge = tables
-    final_is_vertex = start_is_vertex if n % 2 == 0 else not start_is_vertex
-    out = [0] * (len(g.vertices) if final_is_vertex else len(g.edges))
-    budget = [limits.max_walks]
-    parity = -1 if (n // 2) % 2 else 1
-
-    def descend(is_vertex: bool, idx: int, h: int, last_ident: int, prod: int) -> None:
-        if h > n:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise EnumerationLimitError(
-                    f"walk enumeration exceeded the ceiling of {limits.max_walks} walks"
-                )
-            out[idx] += prod
-            return
-        check = not weak and h % 2 == 0
-        for ident, other, sign, _inc in at_vertex[idx] if is_vertex else at_edge[idx]:
-            if check and ident == last_ident:
-                continue
-            descend(not is_vertex, other, h + 1, ident, prod * sign)
-
-    descend(start_is_vertex, start_idx, 1, -1, parity)
-    return out
-
-
 def _anchor_family(g: OrientedHypergraph, which: str) -> tuple[tuple[str, ...], bool]:
     if which == "V":
         return g.vertices, True
@@ -292,24 +273,70 @@ def _anchor_family(g: OrientedHypergraph, which: str) -> tuple[tuple[str, ...], 
     raise ValueError(f"anchor family must be 'V' or 'E', got {which!r}")
 
 
-def _walk_matrix(
+def _matrix_shape(g: OrientedHypergraph, row_anchors: str, col_anchors: str, n: int):
+    row_labels, rows_vertex = _anchor_family(g, row_anchors)
+    col_labels, cols_vertex = _anchor_family(g, col_anchors)
+    _require_length(rows_vertex, cols_vertex, n)
+    return row_labels, col_labels, rows_vertex
+
+
+def oracle_walk_matrix(
     g: OrientedHypergraph,
     row_anchors: str,
     col_anchors: str,
-    n: int,
-    weak: bool,
-    limits: EnumerationLimits,
+    half_length_numerator: int,
+    weak: bool = False,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> LabeledIntegerMatrix:
-    row_labels, rows_vertex = _anchor_family(g, row_anchors)
-    col_labels, cols_vertex = _anchor_family(g, col_anchors)
-    _require_count(n, limits)
-    _require_parity(rows_vertex, cols_vertex, n)
-    tables = _candidate_tables(g)
-    index = g.vertex_index if rows_vertex else g.edge_index
-    entries = tuple(
-        tuple(_signed_totals(g, tables, rows_vertex, index[label], n, weak, limits))
-        for label in row_labels
-    )
+    """Signed net walk counts between two anchor families, by exhaustive search.
+
+    The brute-force reference for :func:`walk_matrix` and
+    :func:`weak_walk_matrix`: one search per row anchor, signs summed by
+    endpoint, and no matrix arithmetic.  ``limits`` bounds each search.
+    """
+    n = half_length_numerator
+    row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
+    _require_ceiling(n, limits)
+    entries = []
+    for start in range(len(row_labels)):
+        row = [0] * len(col_labels)
+
+        def tally(end_idx: int, _incs: list[Incidence], sign: int) -> None:
+            row[end_idx] += sign
+
+        _search(g._walk_tables, rows_vertex, start, n, weak, limits, tally)
+        entries.append(row)
+    return LabeledIntegerMatrix(row_labels, col_labels, entries)
+
+
+def _closed_form(
+    g: OrientedHypergraph, row_anchors: str, col_anchors: str, n: int, weak: bool
+) -> LabeledIntegerMatrix:
+    # Under the positional rule a walk is n // 2 independent pair steps, plus
+    # one free incidence when n is odd.  A pair step crosses incidences
+    # (i1, i2) through a neighbour, distinct unless weak, with sign -s1*s2.
+    row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
+    here, there = g._walk_tables if rows_vertex else g._walk_tables[::-1]
+    pair_steps = []
+    for row in here:
+        step: dict[int, int] = {}
+        for mid, s1, first in row:
+            for target, s2, second in there[mid]:
+                if weak or second is not first:
+                    step[target] = step.get(target, 0) - s1 * s2
+        pair_steps.append(step.items())
+    tail_steps = [[(other, sign) for other, sign, _inc in row] for row in here]
+
+    entries = []
+    for start in range(len(row_labels)):
+        vector = {start: 1}
+        for steps in [pair_steps] * (n // 2) + [tail_steps] * (n % 2):
+            pushed: dict[int, int] = {}
+            for x, c in vector.items():
+                for y, s in steps[x]:
+                    pushed[y] = pushed.get(y, 0) + c * s
+            vector = pushed
+        entries.append([vector.get(j, 0) for j in range(len(col_labels))])
     return LabeledIntegerMatrix(row_labels, col_labels, entries)
 
 
@@ -318,14 +345,15 @@ def walk_matrix(
     row_anchors: str,
     col_anchors: str,
     half_length_numerator: int,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> LabeledIntegerMatrix:
     """Signed net walk counts between two anchor families ("V" or "E").
 
     Entry (a, b) is the number of positive minus the number of negative
-    walks from a to b with the given incidence count.
+    walks from a to b with the given incidence count.  Computed in closed
+    form, with no walk ceiling: ``W(V,V,2k) = A^k``, ``W(V,E,2k+1) = A^k H``,
+    ``W(E,V,2k+1) = A_dual^k H^T`` and ``W(E,E,2k) = A_dual^k``.
     """
-    return _walk_matrix(g, row_anchors, col_anchors, half_length_numerator, False, limits)
+    return _closed_form(g, row_anchors, col_anchors, half_length_numerator, False)
 
 
 def weak_walk_matrix(
@@ -333,10 +361,13 @@ def weak_walk_matrix(
     row_anchors: str,
     col_anchors: str,
     half_length_numerator: int,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> LabeledIntegerMatrix:
-    """Signed net weak walk counts between two anchor families ("V" or "E")."""
-    return _walk_matrix(g, row_anchors, col_anchors, half_length_numerator, True, limits)
+    """Signed net weak walk counts between two anchor families ("V" or "E").
+
+    The closed forms of :func:`walk_matrix` with ``A`` replaced by
+    ``-H H^T`` and ``A_dual`` by ``-H^T H``.
+    """
+    return _closed_form(g, row_anchors, col_anchors, half_length_numerator, True)
 
 
 def backstep_count(g: OrientedHypergraph, vertex: str) -> int:

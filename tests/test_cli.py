@@ -183,17 +183,41 @@ def test_verify_zero_trials_exits_0(capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["walk-matrix", "--rows", "V", "--cols", "V", "--n", "2000", "--max-incidences", "5000"],
+        ["walk-matrix", "--rows", "V", "--cols", "V", "--n", "2000"],
         ["walks", "--from", "v1", "--to", "v2", "--n", "2000", "--max-incidences", "5000"],
         ["verify", "--max-walk-incidences", "3000"],
     ],
 )
 def test_deep_requests_succeed_or_exit_2(instance_file, capsys, args):
+    # walk-matrix has no search to bound; a search deeper than the cap is
+    # refused up front, naming the field of the option that asked for it.
+    field = {"walk-matrix": None, "walks": "max_incidences", "verify": "max_walk_incidences"}
     code = main([args[0], instance_file, *args[1:]])
-    err = capsys.readouterr().err
-    assert code in (0, 2)
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
-    assert code == 0 or err.startswith("error:")
+    if field[args[0]] is None:
+        # A^2 = I on the two-vertex edge, so every even power is the identity.
+        assert (code, out, err) == (0, ",v1,v2\nv1,1,0\nv2,0,1\n", "")
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {field[args[0]]} must be at most 500, got ")
+
+
+def test_walk_matrix_takes_no_ceiling_flags(instance_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["walk-matrix", instance_file, "--rows", "V", "--cols", "V", "--n", "2",
+              "--max-walks", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-walks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, field", [("--max-vertices", "max_vertices"),
+                                         ("--max-edge-size", "max_edge_size")])
+def test_verify_zero_size_caps_exit_2(capsys, flag, field):
+    assert main(["verify", "--trials", "3", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be at least 1, got 0")
 
 
 def test_usage_error_exits_2():

@@ -144,6 +144,42 @@ def test_negative_counts_are_rejected(name):
         VerifyOptions(**{name: -1})
 
 
+@pytest.mark.parametrize("name", ["max_vertices", "max_edge_size"])
+def test_size_caps_below_one_are_rejected(name):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+        VerifyOptions(**{name: 0})
+
+
+def test_walk_incidences_above_the_cap_are_rejected():
+    with pytest.raises(ValueError, match="max_walk_incidences must be at most 500, got 501"):
+        VerifyOptions(max_walk_incidences=501)
+    VerifyOptions(max_walk_incidences=500, limits=EnumerationLimits(max_incidences=500))
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [
+        ("adjacency_matrix", "walk_oracle_power"),
+        ("walk_matrix", "walk_oracle_power"),
+        ("weak_walk_matrix", "weak_walk_laplacian"),
+    ],
+)
+def test_walk_oracle_catches_an_off_by_one(monkeypatch, name, check):
+    # The oracle is an exhaustive search that calls neither the builders
+    # nor the closed-form walk matrices, so corrupting either must show.
+    real = getattr(ohmatrix.verify, name)
+
+    def off_by_one(*args, **kwargs):
+        m = real(*args, **kwargs)
+        rows = [list(row) for row in m.entries]
+        rows[0][0] += 1
+        return LabeledIntegerMatrix(m.row_labels, m.col_labels, rows)
+
+    monkeypatch.setattr(ohmatrix.verify, name, off_by_one)
+    report = run_verify_suite(path3(), seed=0, options=FAST)
+    assert check in {r.check_name for r in report.failures}
+
+
 def test_zero_trials_is_an_empty_pass():
     report = run_verify_suite(seed=0, options=VerifyOptions(trials=0))
     assert report.results == ()

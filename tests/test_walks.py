@@ -11,10 +11,12 @@ from ohmatrix import (
     adjacency_matrix,
     backstep_count,
     degree_matrix,
+    dual_laplacian,
     enumerate_walks,
     incidence_dual,
     incidence_matrix,
     laplacian,
+    oracle_walk_matrix,
     walk_counts,
     walk_matrix,
     walk_sign,
@@ -120,6 +122,12 @@ class TestEnumerateWalks:
         limits = EnumerationLimits(max_incidences=4)
         with pytest.raises(EnumerationLimitError, match="ceiling"):
             enumerate_walks(two_vertex_edge(), "v1", "v1", 6, limits=limits)
+
+    def test_incidence_cap(self):
+        with pytest.raises(ValueError, match="max_incidences must be at most 500, got 501"):
+            EnumerationLimits(max_incidences=501)
+        limits = EnumerationLimits(max_incidences=500)
+        assert len(enumerate_walks(two_vertex_edge(), "v1", "v1", 500, limits=limits)) == 1
 
     def test_walk_count_ceiling(self):
         limits = EnumerationLimits(max_walks=1)
@@ -228,6 +236,55 @@ class TestWalkMatrix:
         m = walk_matrix(g, "V", "V", 2)
         assert m.entries[2] == (0, 0, 0)
         assert tuple(row[2] for row in m.entries) == (0, 0, 0)
+
+
+FAMILY_PAIRS = [("V", "V", 0), ("V", "E", 1), ("E", "V", 1), ("E", "E", 0)]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("simple", [True, False])
+    @given(data=st.data())
+    def test_matches_the_oracle(self, simple, data):
+        g = data.draw(instances(max_vertices=4, max_edges=3, simple=simple))
+        for rows, cols, odd in FAMILY_PAIRS:
+            for n in range(odd, 8, 2):
+                assert walk_matrix(g, rows, cols, n) == oracle_walk_matrix(g, rows, cols, n)
+                assert weak_walk_matrix(g, rows, cols, n) == oracle_walk_matrix(
+                    g, rows, cols, n, weak=True
+                )
+
+    @given(instances(max_vertices=5, max_edges=4))
+    @settings(max_examples=15)
+    def test_matches_dense_powers_where_the_oracle_is_unaffordable(self, g):
+        h = incidence_matrix(g)
+        ht = h.transpose()
+        a, a_dual = adjacency_matrix(g), adjacency_matrix(incidence_dual(g))
+        neg_l, neg_dual_l = -laplacian(g), -dual_laplacian(g)
+        for k in range(21):
+            assert walk_matrix(g, "V", "V", 2 * k) == a.power(k)
+            assert walk_matrix(g, "V", "E", 2 * k + 1) == a.power(k) @ h
+            assert walk_matrix(g, "E", "V", 2 * k + 1) == a_dual.power(k) @ ht
+            assert walk_matrix(g, "E", "E", 2 * k) == a_dual.power(k)
+            assert weak_walk_matrix(g, "V", "V", 2 * k) == neg_l.power(k)
+            assert weak_walk_matrix(g, "V", "E", 2 * k + 1) == neg_l.power(k) @ h
+            assert weak_walk_matrix(g, "E", "V", 2 * k + 1) == neg_dual_l.power(k) @ ht
+            assert weak_walk_matrix(g, "E", "E", 2 * k) == neg_dual_l.power(k)
+
+    def test_no_walk_ceiling(self):
+        g = two_vertex_edge()
+        assert walk_matrix(g, "V", "V", 2000).entries == ((1, 0), (0, 1))
+        assert walk_matrix(g, "V", "E", 2001) == incidence_matrix(g)
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            weak_walk_matrix(two_vertex_edge(), "V", "V", -2)
+
+    def test_oracle_keeps_its_ceilings(self):
+        with pytest.raises(EnumerationLimitError, match="exceeds the ceiling"):
+            oracle_walk_matrix(two_vertex_edge(), "V", "V", 14)
+        with pytest.raises(EnumerationLimitError, match="exceeded"):
+            oracle_walk_matrix(uniform3_edge(), "V", "V", 2,
+                               limits=EnumerationLimits(max_walks=1))
 
 
 class TestWeakWalkMatrix:
