@@ -1,7 +1,8 @@
 """Command line interface: matrices, duals, walks, and the verification suite.
 
 Exit codes: 0 on success (or all checks passing), 1 when validation or
-verification finds a failure, 2 for usage and input errors.
+verification finds a failure, 2 for usage and input errors.  A reader that
+closes standard output early (``| head``) ends the command quietly, with 0.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -268,10 +270,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`), which is no input error.
+        # Point stdout at devnull so that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (EnumerationLimitError, RecursionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -3,6 +3,12 @@
 Everything here is plain Python integers, so arithmetic never overflows and
 equality is exact.  Matrix equality requires equal row labels, equal column
 labels, and equal entries.
+
+Storage is dense, but products skip zero terms: most factors here are
+mostly zero (the switching matrices are diagonal).  Validation happens once,
+at ``LabeledIntegerMatrix(...)`` and ``io.parse_matrix``; the results of
+arithmetic on validated matrices are built from their operands and are not
+validated again.
 """
 
 from __future__ import annotations
@@ -15,7 +21,13 @@ from .core import OrientedHypergraph, SwitchingFunction, incidence_dual
 
 @dataclass(frozen=True)
 class LabeledIntegerMatrix:
-    """Dense integer matrix whose rows and columns are label sequences."""
+    """Dense integer matrix whose rows and columns are label sequences.
+
+    Constructing one checks the labels, the shape and every entry.  The
+    arithmetic operators, ``transpose`` and ``power`` return matrices that
+    skip that check, since their labels and int entries come from operands
+    that already passed it; they compare and hash like validated ones.
+    """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
@@ -41,6 +53,21 @@ class LabeledIntegerMatrix:
             for x in row:
                 if not isinstance(x, int):
                     raise TypeError(f"matrix entries must be integers, got {x!r}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        row_labels: tuple[str, ...],
+        col_labels: tuple[str, ...],
+        entries: tuple[tuple[int, ...], ...],
+    ) -> "LabeledIntegerMatrix":
+        # For arithmetic results only: label tuples taken from validated
+        # operands, and a tuple of int tuples of the matching shape.
+        m = object.__new__(cls)
+        object.__setattr__(m, "row_labels", row_labels)
+        object.__setattr__(m, "col_labels", col_labels)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "LabeledIntegerMatrix":
@@ -73,9 +100,10 @@ class LabeledIntegerMatrix:
         return self.entries[i][j]
 
     def transpose(self) -> "LabeledIntegerMatrix":
-        n, m = self.shape
-        rows = tuple(tuple(self.entries[i][j] for i in range(n)) for j in range(m))
-        return LabeledIntegerMatrix(self.col_labels, self.row_labels, rows)
+        # zip(*()) has no rows to give, so a matrix without rows needs its
+        # empty columns spelled out.
+        rows = tuple(zip(*self.entries)) if self.entries else ((),) * len(self.col_labels)
+        return LabeledIntegerMatrix._trusted(self.col_labels, self.row_labels, rows)
 
     def _require_same_labels(self, other: "LabeledIntegerMatrix") -> None:
         if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
@@ -88,7 +116,7 @@ class LabeledIntegerMatrix:
         rows = tuple(
             tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)
         )
-        return LabeledIntegerMatrix(self.row_labels, self.col_labels, rows)
+        return LabeledIntegerMatrix._trusted(self.row_labels, self.col_labels, rows)
 
     def __sub__(self, other: "LabeledIntegerMatrix") -> "LabeledIntegerMatrix":
         if not isinstance(other, LabeledIntegerMatrix):
@@ -97,32 +125,48 @@ class LabeledIntegerMatrix:
         rows = tuple(
             tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)
         )
-        return LabeledIntegerMatrix(self.row_labels, self.col_labels, rows)
+        return LabeledIntegerMatrix._trusted(self.row_labels, self.col_labels, rows)
 
     def __neg__(self) -> "LabeledIntegerMatrix":
         rows = tuple(tuple(-a for a in row) for row in self.entries)
-        return LabeledIntegerMatrix(self.row_labels, self.col_labels, rows)
+        return LabeledIntegerMatrix._trusted(self.row_labels, self.col_labels, rows)
 
     def __matmul__(self, other: "LabeledIntegerMatrix") -> "LabeledIntegerMatrix":
         if not isinstance(other, LabeledIntegerMatrix):
             return NotImplemented
         if self.col_labels != other.row_labels:
             raise ValueError("matrix product needs the inner labels to match")
-        cols = other.transpose().entries
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries
-        )
-        return LabeledIntegerMatrix(self.row_labels, other.col_labels, rows)
+        # Gustavson's row-by-row product: row i of the result is the sum of
+        # a_ij times row j of other, over the nonzero a_ij and the nonzero
+        # entries of that row only.
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        width = len(other.col_labels)
+        rows = []
+        for row in self.entries:
+            acc = [0] * width
+            for a, terms in zip(row, sparse_rows):
+                if a:
+                    for j, b in terms:
+                        acc[j] += a * b
+            rows.append(tuple(acc))
+        return LabeledIntegerMatrix._trusted(self.row_labels, other.col_labels, tuple(rows))
 
     def power(self, k: int) -> "LabeledIntegerMatrix":
-        """k-fold product of a square matrix with itself; power(0) is I."""
+        """k-fold product of a square matrix with itself; power(0) is I.
+
+        Computed by repeated squaring, in at most 2 log2(k) + 1 products.
+        """
         if self.row_labels != self.col_labels:
             raise ValueError("matrix power needs equal row and column labels")
         if k < 0:
             raise ValueError(f"matrix power needs a nonnegative exponent, got {k}")
-        result = LabeledIntegerMatrix.identity(self.row_labels)
-        for _ in range(k):
-            result = result @ self
+        result, square = LabeledIntegerMatrix.identity(self.row_labels), self
+        while k:
+            if k & 1:
+                result = result @ square
+            k >>= 1
+            if k:
+                square = square @ square
         return result
 
 

@@ -191,10 +191,13 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
     )
 
     oracle_diff = None
+    ak = LabeledIntegerMatrix.identity(g.vertices)
     for k in range(options.max_walk_incidences // 2 + 1):
+        if k:
+            ak = ak @ a
         counts = oracle_walk_matrix(g, "V", "V", 2 * k, limits=limits)
         label = f"signed {k}-step walk counts"
-        oracle_diff = _matrix_diff(f"A^{k}", a.power(k), label, counts) or _matrix_diff(
+        oracle_diff = _matrix_diff(f"A^{k}", ak, label, counts) or _matrix_diff(
             f"walk matrix at n={2 * k}", walk_matrix(g, "V", "V", 2 * k), label, counts
         )
         if oracle_diff is not None:

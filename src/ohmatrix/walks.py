@@ -52,12 +52,17 @@ class EnumerationLimits:
     exceed ``INCIDENCE_CAP``, since the search recurses once per incidence;
     ``max_walks`` bounds the number of walk sequences generated during one
     search, counting every complete sequence regardless of its endpoint.
+    A ceiling below its least useful value (0 incidences, 1 walk) raises
+    ValueError, rather than failing every search later.
     """
 
     max_incidences: int = 12
     max_walks: int = 1_000_000
 
     def __post_init__(self) -> None:
+        for name, least in (("max_incidences", 0), ("max_walks", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.max_incidences > INCIDENCE_CAP:
             raise ValueError(
                 f"max_incidences must be at most {INCIDENCE_CAP}, got {self.max_incidences}"

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ohmatrix import parse_instance, serialize_instance
+from ohmatrix import parse_instance, random_instance, serialize_instance
 from ohmatrix.cli import main
 
 from helpers import path3, two_vertex_edge
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -173,6 +179,44 @@ def test_verify_negative_counts_exit_2(instance_file, capsys):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert captured.err.startswith("error: max_walk_incidences")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["walks", "--from", "v1", "--to", "v2", "--n", "2", "--max-walks", "-1"],
+     "max_walks must be at least 1, got -1"),
+    (["walks", "--from", "v1", "--to", "v2", "--n", "2", "--max-incidences", "-1"],
+     "max_incidences must be at least 0, got -1"),
+    (["verify", "--max-walks", "0"], "max_walks must be at least 1, got 0"),
+])
+def test_ceilings_below_their_least_value_exit_2(instance_file, capsys, args, message):
+    assert main([args[0], instance_file, *args[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_closed_stdout_ends_quietly(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_instance(random_instance(1, 6, 8, 3, simple=True)))
+    argv = ["walks", str(path), "--from", "v1", "--to", "v2", "--n", "8"]
+    assert main(argv) == 0
+    # More than the 64 KiB pipe buffer, so the writer is still writing
+    # when the reader goes away.
+    assert len(capsys.readouterr().out) > 4 * 65536
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "ohmatrix.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+
+
+def test_verify_seed3_matches_the_captured_run(capsys):
+    # The same run the benchmark's failure counting is tested on: any change
+    # to a check's result, or to the INCOMPLETE note of trial 5, shows here.
+    captured = ROOT / "perfbench" / "testdata" / "verify_seed3_trials100.txt"
+    assert main(["verify", "--seed", "3", "--trials", "100"]) == 1
+    assert capsys.readouterr().out == captured.read_text(encoding="utf-8")
 
 
 def test_verify_zero_trials_exits_0(capsys):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ohmatrix import (
     Incidence,
+    InstanceFormatError,
     LabeledIntegerMatrix,
     OrientedHypergraph,
     SwitchingFunction,
@@ -14,6 +15,7 @@ from ohmatrix import (
     incidence_matrix,
     is_simple,
     laplacian,
+    parse_matrix,
     random_switching,
     switch,
     switching_matrix,
@@ -79,6 +81,98 @@ class TestLabeledIntegerMatrix:
         assert a.entry("x", "y") == 7
         with pytest.raises(ValueError):
             a.entry("x", "x")
+
+
+# Mostly zeros, as in the products verify forms, plus entries past 2**64.
+_ENTRIES = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.integers(-3, 3), st.integers(2**64, 2**70),
+    st.integers(-(2**70), -(2**64)),
+)
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    """Matrices over r*/c* labels; 0 rows or 0 columns are drawn often."""
+    n = draw(st.integers(0, 4)) if rows is None else len(rows)
+    m = draw(st.integers(0, 4)) if cols is None else len(cols)
+    rows = tuple(f"r{i}" for i in range(n)) if rows is None else rows
+    cols = tuple(f"c{j}" for j in range(m)) if cols is None else cols
+    entries = draw(st.lists(st.lists(_ENTRIES, min_size=m, max_size=m), min_size=n, max_size=n))
+    return LabeledIntegerMatrix(rows, cols, entries)
+
+
+@st.composite
+def _product_pairs(draw):
+    a = draw(_matrices())
+    return a, draw(_matrices(rows=a.col_labels))
+
+
+def _schoolbook(a: LabeledIntegerMatrix, b: LabeledIntegerMatrix):
+    n, k, m = len(a.row_labels), len(b.row_labels), len(b.col_labels)
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            for t in range(k):
+                out[i][j] += a.entries[i][t] * b.entries[t][j]
+    return tuple(tuple(row) for row in out)
+
+
+def _assert_like_validated(m: LabeledIntegerMatrix) -> None:
+    rebuilt = LabeledIntegerMatrix(m.row_labels, m.col_labels, m.entries)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert type(m.entries) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in m.entries)
+
+
+class TestArithmetic:
+    @given(_product_pairs())
+    @settings(max_examples=150)
+    def test_product_matches_schoolbook(self, pair):
+        a, b = pair
+        prod = a @ b
+        assert prod.row_labels == a.row_labels and prod.col_labels == b.col_labels
+        assert prod.entries == _schoolbook(a, b)
+
+    def test_product_shapes_with_a_zero_dimension(self):
+        no_rows = LabeledIntegerMatrix((), ("m",), ())
+        no_cols = LabeledIntegerMatrix(("m",), (), ((),))
+        wide = LabeledIntegerMatrix(("m",), ("c1", "c2"), ((1, 2),))
+        assert (no_rows @ wide).entries == ()
+        assert (wide.transpose() @ no_cols).entries == ((), ())
+        assert no_rows.transpose() == LabeledIntegerMatrix(("m",), (), ((),))
+
+    @given(_matrices(rows=("x", "y", "z"), cols=("x", "y", "z")), st.integers(0, 20))
+    @settings(max_examples=60)
+    def test_power_matches_iterated_product(self, a, k):
+        iterated = LabeledIntegerMatrix.identity(a.row_labels)
+        for _ in range(k):
+            iterated = iterated @ a
+        assert a.power(k) == iterated
+
+    @given(_product_pairs(), st.integers(0, 5))
+    def test_results_equal_and_hash_like_validated_matrices(self, pair, k):
+        a, b = pair
+        square = a @ a.transpose()
+        for result in (a @ b, a + a, a - a, -a, a.transpose(), square.power(k)):
+            _assert_like_validated(result)
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: LabeledIntegerMatrix.diagonal(("a", "b"), [1, 2.5]), TypeError, "integers"),
+        (lambda: LabeledIntegerMatrix.diagonal(("a", "b"), [1]), ValueError, "one value"),
+        (lambda: LabeledIntegerMatrix.diagonal(("a", "a"), [1, 2]), ValueError, "duplicate"),
+        (lambda: parse_matrix(",c\na,1\na,2\n"), InstanceFormatError, "duplicate"),
+        (lambda: parse_matrix('{"rows": ["a"], "cols": ["c"], "entries": [[1.5]]}', "json"),
+         InstanceFormatError, "integer"),
+        (lambda: parse_matrix('{"rows": ["a"], "cols": ["c"], "entries": [[1, 2]]}', "json"),
+         InstanceFormatError, "columns"),
+        (lambda: parse_matrix('{"rows": ["a", "a"], "cols": [], "entries": [[], []]}', "json"),
+         InstanceFormatError, "duplicate"),
+    ])
+    def test_diagonal_and_parse_matrix_still_validate(self, build, error, match):
+        # The constructor's own float, ragged and duplicate cases are in
+        # TestLabeledIntegerMatrix, the CSV cell errors in test_io.
+        with pytest.raises(error, match=match):
+            build()
 
 
 class TestIncidenceMatrix:

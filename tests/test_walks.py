@@ -129,6 +129,14 @@ class TestEnumerateWalks:
         limits = EnumerationLimits(max_incidences=500)
         assert len(enumerate_walks(two_vertex_edge(), "v1", "v1", 500, limits=limits)) == 1
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("max_incidences", -1, 0), ("max_walks", 0, 1), ("max_walks", -1, 1),
+    ])
+    def test_ceilings_below_their_least_value(self, field, value, least):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got {value}$"):
+            EnumerationLimits(**{field: value})
+        assert getattr(EnumerationLimits(**{field: least}), field) == least
+
     def test_walk_count_ceiling(self):
         limits = EnumerationLimits(max_walks=1)
         with pytest.raises(EnumerationLimitError, match="exceeded"):
