@@ -34,6 +34,7 @@ from .walks import (
     WalkCounts,
     backstep_count,
     enumerate_walks,
+    oracle_walk_counts,
     oracle_walk_matrix,
     walk_counts,
     walk_matrix,
@@ -94,6 +95,7 @@ __all__ = [
     "WalkCounts",
     "backstep_count",
     "enumerate_walks",
+    "oracle_walk_counts",
     "oracle_walk_matrix",
     "walk_counts",
     "walk_matrix",

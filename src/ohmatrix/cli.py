@@ -8,7 +8,6 @@ closes standard output early (``| head``) ends the command quietly, with 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -164,14 +163,9 @@ def cmd_verify(args) -> int:
         max_edge_size=args.max_edge_size,
         max_walk_incidences=args.max_walk_incidences,
         switching_trials=args.switching_trials,
+        max_walks=args.max_walks,
         self_test=args.self_test,
     )
-    # Built once the options are checked, so that a request deeper than the
-    # cap is reported under the option the user gave.
-    limits = EnumerationLimits(
-        max_incidences=max(options.max_walk_incidences, 12), max_walks=args.max_walks
-    )
-    options = dataclasses.replace(options, limits=limits)
     instance = _load_instance(args.instance) if args.instance else None
     report = run_verify_suite(instance, seed=args.seed, options=options)
     print(format_report(report), end="")

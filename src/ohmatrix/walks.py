@@ -24,7 +24,8 @@ Enumeration is exhaustive depth-first search and is intended as a
 desk-scale oracle; ceilings on the incidence count and on the number of
 generated walks keep runs bounded.  Walk matrices are computed in closed
 form instead (see :func:`walk_matrix`), with :func:`oracle_walk_matrix` as
-their brute-force reference.
+their brute-force reference; :func:`oracle_walk_counts` gives the same
+search's counts split by sign.
 """
 
 from __future__ import annotations
@@ -285,6 +286,43 @@ def _matrix_shape(g: OrientedHypergraph, row_anchors: str, col_anchors: str, n: 
     return row_labels, col_labels, rows_vertex
 
 
+def oracle_walk_counts(
+    g: OrientedHypergraph,
+    row_anchors: str,
+    col_anchors: str,
+    half_length_numerator: int,
+    weak: bool = False,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> tuple[LabeledIntegerMatrix, LabeledIntegerMatrix]:
+    """Walk counts split by sign between two anchor families, by exhaustive search.
+
+    One search per row anchor, each walk counted by its sign at its
+    endpoint, and no matrix arithmetic.  Entry (a, b) of the two matrices
+    is what :func:`walk_counts` gives as ``positive`` and ``negative`` for
+    the pair.  ``limits`` bounds each search.
+    """
+    n = half_length_numerator
+    row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
+    _require_ceiling(n, limits)
+    positive, negative = [], []
+    for start in range(len(row_labels)):
+        plus, minus = [0] * len(col_labels), [0] * len(col_labels)
+
+        def tally(end_idx: int, _incs: list[Incidence], sign: int) -> None:
+            if sign > 0:
+                plus[end_idx] += 1
+            else:
+                minus[end_idx] += 1
+
+        _search(g._walk_tables, rows_vertex, start, n, weak, limits, tally)
+        positive.append(plus)
+        negative.append(minus)
+    return (
+        LabeledIntegerMatrix(row_labels, col_labels, positive),
+        LabeledIntegerMatrix(row_labels, col_labels, negative),
+    )
+
+
 def oracle_walk_matrix(
     g: OrientedHypergraph,
     row_anchors: str,
@@ -296,22 +334,13 @@ def oracle_walk_matrix(
     """Signed net walk counts between two anchor families, by exhaustive search.
 
     The brute-force reference for :func:`walk_matrix` and
-    :func:`weak_walk_matrix`: one search per row anchor, signs summed by
-    endpoint, and no matrix arithmetic.  ``limits`` bounds each search.
+    :func:`weak_walk_matrix`: positive minus negative
+    :func:`oracle_walk_counts`.
     """
-    n = half_length_numerator
-    row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
-    _require_ceiling(n, limits)
-    entries = []
-    for start in range(len(row_labels)):
-        row = [0] * len(col_labels)
-
-        def tally(end_idx: int, _incs: list[Incidence], sign: int) -> None:
-            row[end_idx] += sign
-
-        _search(g._walk_tables, rows_vertex, start, n, weak, limits, tally)
-        entries.append(row)
-    return LabeledIntegerMatrix(row_labels, col_labels, entries)
+    positive, negative = oracle_walk_counts(
+        g, row_anchors, col_anchors, half_length_numerator, weak, limits
+    )
+    return positive - negative
 
 
 def _closed_form(

@@ -1,10 +1,10 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
 import ohmatrix.verify
 from ohmatrix import (
-    EnumerationLimits,
     LabeledIntegerMatrix,
     OrientedHypergraph,
     VerifyOptions,
@@ -67,7 +67,7 @@ def test_self_test_detects_corruption():
 
 
 def test_resource_ceiling_flags_incomplete_report():
-    tiny = VerifyOptions(limits=EnumerationLimits(max_walks=2))
+    tiny = VerifyOptions(max_walks=2)
     report = run_verify_suite(uniform3_edge(), seed=0, options=tiny)
     assert not report.complete
     assert not report.passed()
@@ -137,14 +137,14 @@ def test_family_check_inventory():
 @pytest.mark.parametrize(
     "name",
     ["trials", "max_vertices", "max_edges", "max_edge_size", "max_walk_incidences",
-     "switching_trials"],
+     "switching_trials", "max_walks"],
 )
 def test_negative_counts_are_rejected(name):
     with pytest.raises(ValueError, match=name):
         VerifyOptions(**{name: -1})
 
 
-@pytest.mark.parametrize("name", ["max_vertices", "max_edge_size"])
+@pytest.mark.parametrize("name", ["max_vertices", "max_edge_size", "max_walks"])
 def test_size_caps_below_one_are_rejected(name):
     with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
         VerifyOptions(**{name: 0})
@@ -153,7 +153,7 @@ def test_size_caps_below_one_are_rejected(name):
 def test_walk_incidences_above_the_cap_are_rejected():
     with pytest.raises(ValueError, match="max_walk_incidences must be at most 500, got 501"):
         VerifyOptions(max_walk_incidences=501)
-    VerifyOptions(max_walk_incidences=500, limits=EnumerationLimits(max_incidences=500))
+    VerifyOptions(max_walk_incidences=500)
 
 
 @pytest.mark.parametrize(
@@ -184,3 +184,48 @@ def test_zero_trials_is_an_empty_pass():
     report = run_verify_suite(seed=0, options=VerifyOptions(trials=0))
     assert report.results == ()
     assert report.passed()
+
+
+def test_options_hold_one_field_per_verify_flag():
+    assert [f.name for f in dataclasses.fields(VerifyOptions)] == [
+        "trials", "max_vertices", "max_edges", "max_edge_size", "max_walk_incidences",
+        "switching_trials", "max_walks", "self_test",
+    ]
+
+
+def test_deep_oracle_runs_are_not_cut_by_a_second_ceiling():
+    # The oracle is bounded by max_walk_incidences alone: a request above the
+    # enumerator's default ceiling of 12 incidences still runs every check.
+    report = run_verify_suite(seed=0, options=VerifyOptions(trials=3, max_walk_incidences=14))
+    assert report.complete, report.notes
+    assert report.passed(), format_report(report)
+    assert len(report.results) == 37
+
+
+def test_no_switching_trials_reports_no_switching_check():
+    report = run_verify_suite(seed=2, options=VerifyOptions(trials=2, switching_trials=0))
+    names = {r.check_name for r in report.results}
+    assert "switching_conjugation" not in names
+    assert "laplacian_decomposition" in names
+    assert report.passed()
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_corrupted_walk_counts_fail_the_count_checks(monkeypatch, weak):
+    # Both count checks read their walk totals from one search per source;
+    # one extra positive walk at (v2, v3) must show in each, naming the cell.
+    real = ohmatrix.verify.oracle_walk_counts
+
+    def one_extra(*args, **kwargs):
+        positive, negative = real(*args, **kwargs)
+        if kwargs.get("weak", False) == weak:
+            entries = [list(row) for row in positive.entries]
+            entries[1][2] += 1
+            positive = LabeledIntegerMatrix(positive.row_labels, positive.col_labels, entries)
+        return positive, negative
+
+    monkeypatch.setattr(ohmatrix.verify, "oracle_walk_counts", one_extra)
+    report = run_verify_suite(path3(), seed=0, options=FAST)
+    failures = {r.check_name: r.counterexample for r in report.failures}
+    for name in ("degree_backsteps", "laplacian_walk_entries"):
+        assert "(v2, v3)" in failures[name], failures

@@ -16,6 +16,7 @@ from ohmatrix import (
     incidence_dual,
     incidence_matrix,
     laplacian,
+    oracle_walk_counts,
     oracle_walk_matrix,
     walk_counts,
     walk_matrix,
@@ -293,6 +294,33 @@ class TestClosedForm:
         with pytest.raises(EnumerationLimitError, match="exceeded"):
             oracle_walk_matrix(uniform3_edge(), "V", "V", 2,
                                limits=EnumerationLimits(max_walks=1))
+
+
+class TestOracleWalkCounts:
+    @pytest.mark.parametrize("simple", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=20)
+    def test_matches_per_pair_walk_counts(self, simple, data):
+        # walk_counts signs each enumerated walk with walk_sign, so the signs
+        # here are computed independently of the search's running product.
+        g = data.draw(instances(max_vertices=4, max_edges=3, simple=simple))
+        weak = data.draw(st.booleans())
+        for rows, cols, odd in FAMILY_PAIRS:
+            for n in range(odd, 7, 2):
+                positive, negative = oracle_walk_counts(g, rows, cols, n, weak=weak)
+                for i, a in enumerate(positive.row_labels):
+                    for j, b in enumerate(positive.col_labels):
+                        counts = walk_counts(g, a, b, n, weak=weak)
+                        assert (positive.entries[i][j], negative.entries[i][j]) == (
+                            counts.positive, counts.negative
+                        )
+
+    @given(instances(max_vertices=5, max_edges=4), st.booleans())
+    def test_signed_matrix_is_positive_minus_negative(self, g, weak):
+        for rows, cols, odd in FAMILY_PAIRS:
+            for n in (odd, odd + 2):
+                positive, negative = oracle_walk_counts(g, rows, cols, n, weak=weak)
+                assert oracle_walk_matrix(g, rows, cols, n, weak=weak) == positive - negative
 
 
 class TestWeakWalkMatrix:
