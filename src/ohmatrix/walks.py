@@ -23,9 +23,9 @@ therefore always negative.
 Enumeration is exhaustive depth-first search and is intended as a
 desk-scale oracle; ceilings on the incidence count and on the number of
 generated walks keep runs bounded.  Walk matrices are computed in closed
-form instead (see :func:`walk_matrix`), with :func:`oracle_walk_matrix` as
-their brute-force reference; :func:`oracle_walk_counts` gives the same
-search's counts split by sign.
+form instead, as products of one pair-step matrix (see :func:`walk_matrix`),
+with :func:`oracle_walk_matrix` as their brute-force reference;
+:func:`oracle_walk_counts` gives the same search's counts split by sign.
 """
 
 from __future__ import annotations
@@ -110,18 +110,18 @@ class Walk:
 
 @dataclass(frozen=True)
 class WalkCounts:
-    """Walk totals split by sign; signed_net = positive - negative."""
+    """Walk counts split by sign, with their total and signed net."""
 
-    total: int
     positive: int
     negative: int
-    signed_net: int
 
-    def __post_init__(self) -> None:
-        if self.total != self.positive + self.negative:
-            raise ValueError("total must equal positive + negative")
-        if self.signed_net != self.positive - self.negative:
-            raise ValueError("signed_net must equal positive - negative")
+    @property
+    def total(self) -> int:
+        return self.positive + self.negative
+
+    @property
+    def signed_net(self) -> int:
+        return self.positive - self.negative
 
 
 def _anchor_is_vertex(g: OrientedHypergraph, label: str) -> bool:
@@ -267,8 +267,7 @@ def walk_counts(
     """Totals of :func:`enumerate_walks` output classified by :func:`walk_sign`."""
     walks = enumerate_walks(g, start, end, half_length_numerator, weak, limits)
     positive = sum(1 for w in walks if walk_sign(g, w) == 1)
-    negative = len(walks) - positive
-    return WalkCounts(len(walks), positive, negative, positive - negative)
+    return WalkCounts(positive, len(walks) - positive)
 
 
 def _anchor_family(g: OrientedHypergraph, which: str) -> tuple[tuple[str, ...], bool]:
@@ -343,35 +342,35 @@ def oracle_walk_matrix(
     return positive - negative
 
 
+def _summed(row_labels, col_labels, rows) -> LabeledIntegerMatrix:
+    # A validated matrix from (column index, term, ...) tuples per row.
+    acc = [[0] * len(col_labels) for _ in row_labels]
+    for row, terms in zip(acc, rows):
+        for t in terms:
+            row[t[0]] += t[1]
+    return LabeledIntegerMatrix(row_labels, col_labels, acc)
+
+
 def _closed_form(
     g: OrientedHypergraph, row_anchors: str, col_anchors: str, n: int, weak: bool
 ) -> LabeledIntegerMatrix:
     # Under the positional rule a walk is n // 2 independent pair steps, plus
-    # one free incidence when n is odd.  A pair step crosses incidences
-    # (i1, i2) through a neighbour, distinct unless weak, with sign -s1*s2.
+    # one free incidence (an entry of H or H^T) when n is odd.  A pair step
+    # crosses (i1, i2) through a neighbour, distinct unless weak: -s1*s2.
     row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
     here, there = g._walk_tables if rows_vertex else g._walk_tables[::-1]
-    pair_steps = []
-    for row in here:
-        step: dict[int, int] = {}
-        for mid, s1, first in row:
-            for target, s2, second in there[mid]:
-                if weak or second is not first:
-                    step[target] = step.get(target, 0) - s1 * s2
-        pair_steps.append(step.items())
-    tail_steps = [[(other, sign) for other, sign, _inc in row] for row in here]
-
-    entries = []
-    for start in range(len(row_labels)):
-        vector = {start: 1}
-        for steps in [pair_steps] * (n // 2) + [tail_steps] * (n % 2):
-            pushed: dict[int, int] = {}
-            for x, c in vector.items():
-                for y, s in steps[x]:
-                    pushed[y] = pushed.get(y, 0) + c * s
-            vector = pushed
-        entries.append([vector.get(j, 0) for j in range(len(col_labels))])
-    return LabeledIntegerMatrix(row_labels, col_labels, entries)
+    result = None
+    if n >= 2:
+        result = step = _summed(row_labels, row_labels, (
+            [(target, -s1 * s2) for mid, s1, first in row
+             for target, s2, second in there[mid] if weak or second is not first]
+            for row in here))
+        for _ in range(n // 2 - 1):
+            result = result @ step
+    if n % 2:
+        tail = _summed(row_labels, col_labels, here)
+        result = tail if result is None else result @ tail
+    return LabeledIntegerMatrix.identity(row_labels) if result is None else result
 
 
 def walk_matrix(

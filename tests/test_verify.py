@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import ohmatrix.verify
+import ohmatrix.walks
 from ohmatrix import (
     LabeledIntegerMatrix,
     OrientedHypergraph,
@@ -45,6 +46,18 @@ def test_family_mode_passes_and_is_deterministic():
     second = run_verify_suite(seed=17, options=FAST)
     assert first == second
     assert first.passed(), format_report(first)
+
+
+def test_family_runs_no_per_pair_or_per_vertex_enumeration(monkeypatch):
+    # Every walk count comes from the per-source oracle searches; the
+    # backstep identity is the weak-minus-strict degree check.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_walks was called")
+
+    expected = run_verify_suite(seed=17, options=FAST)
+    monkeypatch.setattr(ohmatrix.walks, "enumerate_walks", refuse)
+    assert run_verify_suite(seed=17, options=FAST) == expected
+    assert expected.passed() and len(expected.results) == 95
 
 
 def test_results_are_canonically_ordered():

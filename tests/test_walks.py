@@ -1,13 +1,19 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ohmatrix.matrices
+import ohmatrix.walks
 from ohmatrix import (
     EnumerationLimitError,
     EnumerationLimits,
     Incidence,
+    LabeledIntegerMatrix,
     OrientedHypergraph,
     Walk,
+    WalkCounts,
     adjacency_matrix,
     backstep_count,
     degree_matrix,
@@ -24,7 +30,7 @@ from ohmatrix import (
     weak_walk_matrix,
 )
 
-from helpers import double_incidence, instances, two_vertex_edge, uniform3_edge
+from helpers import double_incidence, instances, path3, two_vertex_edge, uniform3_edge
 
 
 class TestWalkSign:
@@ -182,6 +188,11 @@ class TestWalkCounts:
         counts = walk_counts(double_incidence(), "v1", "v1", 2, weak=True)
         assert counts.total == 4 and counts.signed_net == 0
 
+    def test_total_and_net_are_derived_from_the_signed_counts(self):
+        counts = WalkCounts(positive=3, negative=5)
+        assert [f.name for f in dataclasses.fields(WalkCounts)] == ["positive", "negative"]
+        assert (counts.total, counts.signed_net) == (8, -2)
+
     @given(instances(max_vertices=4, max_edges=3), st.integers(0, 2))
     @settings(max_examples=25)
     def test_matches_walk_matrix_entries(self, g, k):
@@ -287,6 +298,41 @@ class TestClosedForm:
     def test_negative_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
             weak_walk_matrix(two_vertex_edge(), "V", "V", -2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: OrientedHypergraph((), (), ()),
+        lambda: OrientedHypergraph((), ("e1", "e2"), ()),
+        lambda: OrientedHypergraph(("v1", "v2"), (), ()),
+        two_vertex_edge, double_incidence, path3,
+    ])
+    def test_results_compare_and_hash_like_validated_matrices(self, build):
+        g = build()
+        for rows, cols, odd in FAMILY_PAIRS:
+            for n in range(odd, 6, 2):
+                for m in (walk_matrix(g, rows, cols, n), weak_walk_matrix(g, rows, cols, n)):
+                    rebuilt = LabeledIntegerMatrix(m.row_labels, m.col_labels, m.entries)
+                    assert m == rebuilt and hash(m) == hash(rebuilt)
+                    assert type(m.entries) is tuple
+                    assert all(type(row) is tuple for row in m.entries)
+                    assert all(type(x) is int for row in m.entries for x in row)
+
+    def test_calls_no_matrix_builder(self, monkeypatch):
+        g = path3()
+        expected = {
+            (rows, cols, n, weak): oracle_walk_matrix(g, rows, cols, n, weak=weak)
+            for rows, cols, odd in FAMILY_PAIRS for n in range(odd, 6, 2)
+            for weak in (False, True)
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix builder was called")
+
+        for module in (ohmatrix.matrices, ohmatrix.walks):
+            for name in ("adjacency_matrix", "incidence_matrix", "laplacian"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for (rows, cols, n, weak), oracle in expected.items():
+            closed = weak_walk_matrix if weak else walk_matrix
+            assert closed(g, rows, cols, n) == oracle
 
     def test_oracle_keeps_its_ceilings(self):
         with pytest.raises(EnumerationLimitError, match="exceeds the ceiling"):
