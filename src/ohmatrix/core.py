@@ -99,41 +99,33 @@ class OrientedHypergraph:
         return tuple(sorted(self.incidences, key=self.incidence_sort_key))
 
     @cached_property
-    def _by_vertex(self) -> dict[str, tuple[Incidence, ...]]:
-        buckets: dict[str, list[Incidence]] = {v: [] for v in self.vertices}
-        for inc in self._canonical_incidences:
-            buckets[inc.vertex].append(inc)
-        return {v: tuple(incs) for v, incs in buckets.items()}
-
-    @cached_property
-    def _by_edge(self) -> dict[str, tuple[Incidence, ...]]:
-        buckets: dict[str, list[Incidence]] = {e: [] for e in self.edges}
-        for inc in self._canonical_incidences:
-            buckets[inc.edge].append(inc)
-        return {e: tuple(incs) for e, incs in buckets.items()}
-
-    @cached_property
     def _walk_tables(self):
-        """Per-vertex and per-edge ``(other_index, sign, incidence)`` tuples in canonical order."""
+        """The one per-anchor index: per declared vertex, then per declared
+        edge, a row of ``(other_index, sign, incidence)`` in canonical order."""
         vi, ei = self.vertex_index, self.edge_index
-        return (
-            tuple(tuple((ei[i.edge], i.sign, i) for i in row) for row in self._by_vertex.values()),
-            tuple(tuple((vi[i.vertex], i.sign, i) for i in row) for row in self._by_edge.values()),
-        )
+        at_vertex = [[] for _ in self.vertices]
+        at_edge = [[] for _ in self.edges]
+        for inc in self._canonical_incidences:
+            v, e = vi[inc.vertex], ei[inc.edge]
+            at_vertex[v].append((e, inc.sign, inc))
+            at_edge[e].append((v, inc.sign, inc))
+        return tuple(map(tuple, at_vertex)), tuple(map(tuple, at_edge))
 
     def incidences_at_vertex(self, vertex: str) -> tuple[Incidence, ...]:
         """All incidences containing ``vertex``, in canonical order."""
         try:
-            return self._by_vertex[vertex]
+            row = self._walk_tables[0][self.vertex_index[vertex]]
         except KeyError:
             raise ValueError(f"unknown vertex {vertex!r}") from None
+        return tuple(inc for _, _, inc in row)
 
     def incidences_at_edge(self, edge: str) -> tuple[Incidence, ...]:
         """All incidences containing ``edge``, in canonical order."""
         try:
-            return self._by_edge[edge]
+            row = self._walk_tables[1][self.edge_index[edge]]
         except KeyError:
             raise ValueError(f"unknown edge {edge!r}") from None
+        return tuple(inc for _, _, inc in row)
 
     def degree(self, vertex: str) -> int:
         """Number of incidences containing ``vertex``."""

@@ -9,6 +9,10 @@ mostly zero (the switching matrices are diagonal).  Validation happens once,
 at ``LabeledIntegerMatrix(...)`` and ``io.parse_matrix``; the results of
 arithmetic on validated matrices are built from their operands and are not
 validated again.
+
+``H``, ``A``, both Laplacians and the walk steps come from two constructions
+over the incidence tables, one-incidence and pair steps, so ``L = D - A``
+and ``L = H H^T`` compare independent computations.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import OrientedHypergraph, SwitchingFunction, incidence_dual
+from .core import OrientedHypergraph, SwitchingFunction
 
 
 @dataclass(frozen=True)
@@ -170,17 +174,41 @@ class LabeledIntegerMatrix:
         return result
 
 
+def _one_steps(g: OrientedHypergraph, vertex_rows: bool) -> LabeledIntegerMatrix:
+    # Entry (a, b) sums the signs of the incidences joining anchor a to
+    # anchor b of the other kind: H, or H^T with edge rows.
+    here = g._walk_tables[0 if vertex_rows else 1]
+    rows, cols = (g.vertices, g.edges) if vertex_rows else (g.edges, g.vertices)
+    acc = [[0] * len(cols) for _ in rows]
+    for row, steps in zip(acc, here):
+        for other, sign, _ in steps:
+            row[other] += sign
+    return LabeledIntegerMatrix(rows, cols, acc)
+
+
+def _pair_steps(g: OrientedHypergraph, vertex_rows: bool, weak: bool) -> LabeledIntegerMatrix:
+    # Entry (a, b) sums -s1*s2 over the incidence pairs from a, through a
+    # neighbour of the other kind, to b; the two incidences must be distinct
+    # objects unless weak.  That is A (A_dual with edge rows), or -H H^T
+    # (-H^T H) when weak.
+    here, there = g._walk_tables if vertex_rows else g._walk_tables[::-1]
+    labels = g.vertices if vertex_rows else g.edges
+    acc = [[0] * len(labels) for _ in labels]
+    for row, steps in zip(acc, here):
+        for mid, s1, first in steps:
+            for target, s2, second in there[mid]:
+                if weak or second is not first:
+                    row[target] -= s1 * s2
+    return LabeledIntegerMatrix(labels, labels, acc)
+
+
 def incidence_matrix(g: OrientedHypergraph) -> LabeledIntegerMatrix:
     """Vertices-by-edges matrix summing incidence signs over mult_index.
 
     For a simple instance each entry is the incidence sign, or 0 when the
     vertex and edge do not meet.
     """
-    vi, ei = g.vertex_index, g.edge_index
-    acc = [[0] * len(g.edges) for _ in g.vertices]
-    for inc in g.incidences:
-        acc[vi[inc.vertex]][ei[inc.edge]] += inc.sign
-    return LabeledIntegerMatrix(g.vertices, g.edges, acc)
+    return _one_steps(g, True)
 
 
 def adjacency_matrix(g: OrientedHypergraph) -> LabeledIntegerMatrix:
@@ -192,16 +220,7 @@ def adjacency_matrix(g: OrientedHypergraph) -> LabeledIntegerMatrix:
     sum over edges of -sign(v, e) * sign(w, e); repeated incidences add
     signed self-adjacencies on the diagonal.
     """
-    vi = g.vertex_index
-    acc = [[0] * len(g.vertices) for _ in g.vertices]
-    for e in g.edges:
-        incs = g.incidences_at_edge(e)
-        for first in incs:
-            for second in incs:
-                if first == second:
-                    continue
-                acc[vi[first.vertex]][vi[second.vertex]] += -first.sign * second.sign
-    return LabeledIntegerMatrix(g.vertices, g.vertices, acc)
+    return _pair_steps(g, True, False)
 
 
 def degree_matrix(g: OrientedHypergraph) -> LabeledIntegerMatrix:
@@ -210,13 +229,17 @@ def degree_matrix(g: OrientedHypergraph) -> LabeledIntegerMatrix:
 
 
 def laplacian(g: OrientedHypergraph) -> LabeledIntegerMatrix:
-    """Degree matrix minus adjacency matrix."""
-    return degree_matrix(g) - adjacency_matrix(g)
+    """Vertices-by-vertices H H^T, which equals D - A.
+
+    Entry (v, w) sums sign * sign over the ordered pairs of incidences at v
+    and at w inside one edge, the same incidence twice included.
+    """
+    return -_pair_steps(g, True, True)
 
 
 def dual_laplacian(g: OrientedHypergraph) -> LabeledIntegerMatrix:
-    """Laplacian of the incidence dual; equals H^T H for the incidence matrix H."""
-    return laplacian(incidence_dual(g))
+    """Edges-by-edges H^T H, which equals the Laplacian of the incidence dual."""
+    return -_pair_steps(g, False, True)
 
 
 def switching_matrix(theta: SwitchingFunction, vertex_order: Iterable[str]) -> LabeledIntegerMatrix:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Incidence, OrientedHypergraph
-from .matrices import LabeledIntegerMatrix
+from .matrices import LabeledIntegerMatrix, _one_steps, _pair_steps
 
 
 # Deepest walk search allowed: well inside the interpreter's default
@@ -181,12 +181,6 @@ def _check_walk(g: OrientedHypergraph, walk: Walk) -> None:
         is_vertex = not is_vertex
 
 
-def _ceiling_error(limits: EnumerationLimits) -> EnumerationLimitError:
-    return EnumerationLimitError(
-        f"walk enumeration exceeded the ceiling of {limits.max_walks} walks"
-    )
-
-
 def _search(tables, start_is_vertex, start_idx, n, weak, limits, visit) -> None:
     """The one walk search: depth-first over every walk with ``n`` incidences
     from one anchor, in canonical order, whatever the endpoint.
@@ -211,14 +205,14 @@ def _search(tables, start_is_vertex, start_idx, n, weak, limits, visit) -> None:
                 # call deeper: the oracle's cost is one call per walk.
                 budget[0] -= 1
                 if budget[0] < 0:
-                    raise _ceiling_error(limits)
+                    raise EnumerationLimitError(
+                        f"walk enumeration exceeded the ceiling of {limits.max_walks} walks"
+                    )
                 visit(other, incs, prod * sign)
             incs.pop()
 
     if n:
         descend(start_is_vertex, start_idx, 1, None, -1 if (n // 2) % 2 else 1)
-    elif limits.max_walks < 1:
-        raise _ceiling_error(limits)
     else:
         visit(start_idx, incs, 1)  # the trivial walk
 
@@ -342,33 +336,19 @@ def oracle_walk_matrix(
     return positive - negative
 
 
-def _summed(row_labels, col_labels, rows) -> LabeledIntegerMatrix:
-    # A validated matrix from (column index, term, ...) tuples per row.
-    acc = [[0] * len(col_labels) for _ in row_labels]
-    for row, terms in zip(acc, rows):
-        for t in terms:
-            row[t[0]] += t[1]
-    return LabeledIntegerMatrix(row_labels, col_labels, acc)
-
-
 def _closed_form(
     g: OrientedHypergraph, row_anchors: str, col_anchors: str, n: int, weak: bool
 ) -> LabeledIntegerMatrix:
     # Under the positional rule a walk is n // 2 independent pair steps, plus
-    # one free incidence (an entry of H or H^T) when n is odd.  A pair step
-    # crosses (i1, i2) through a neighbour, distinct unless weak: -s1*s2.
-    row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
-    here, there = g._walk_tables if rows_vertex else g._walk_tables[::-1]
+    # one free incidence (an entry of H or H^T) when n is odd.
+    row_labels, _, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
     result = None
     if n >= 2:
-        result = step = _summed(row_labels, row_labels, (
-            [(target, -s1 * s2) for mid, s1, first in row
-             for target, s2, second in there[mid] if weak or second is not first]
-            for row in here))
+        result = step = _pair_steps(g, rows_vertex, weak)
         for _ in range(n // 2 - 1):
             result = result @ step
     if n % 2:
-        tail = _summed(row_labels, col_labels, here)
+        tail = _one_steps(g, rows_vertex)
         result = tail if result is None else result @ tail
     return LabeledIntegerMatrix.identity(row_labels) if result is None else result
 

@@ -242,6 +242,10 @@ class TestDegreeAndLaplacian:
         h = incidence_matrix(g)
         assert laplacian(g) == h @ h.transpose()
 
+    @given(instances())
+    def test_laplacian_is_degree_minus_adjacency(self, g):
+        assert laplacian(g) == degree_matrix(g) - adjacency_matrix(g)
+
     @given(instances(simple=True))
     def test_simple_laplacian_diagonal_is_degree(self, g):
         lap, d = laplacian(g), degree_matrix(g)
@@ -259,6 +263,10 @@ class TestDualLaplacian:
     def test_equals_transposed_product(self, g):
         h = incidence_matrix(g)
         assert dual_laplacian(g) == h.transpose() @ h
+
+    @given(instances())
+    def test_is_the_laplacian_of_the_dual(self, g):
+        assert dual_laplacian(g) == laplacian(incidence_dual(g))
 
     def test_uniform_identity_on_golden(self):
         g = uniform3_edge()

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import ohmatrix.matrices
 import ohmatrix.verify
 import ohmatrix.walks
 from ohmatrix import (
@@ -124,6 +125,23 @@ def test_failing_check_carries_counterexample_and_seed(monkeypatch):
     text = format_report(report)
     assert "FAIL laplacian_decomposition [|V|=2 |E|=1 |I|=2 simple=True] seed=11" in text
     assert "  instance:\n" in text
+
+
+def test_corrupted_adjacency_fails_the_laplacian_decomposition(monkeypatch):
+    # L is built without A, so D - A from a wrong A must differ from it.
+    real = ohmatrix.matrices.adjacency_matrix
+
+    def bumped(g):
+        a = real(g)
+        rows = [list(row) for row in a.entries]
+        rows[0][1] += 1
+        return LabeledIntegerMatrix(a.row_labels, a.col_labels, rows)
+
+    for module in (ohmatrix.matrices, ohmatrix.verify):
+        monkeypatch.setattr(module, "adjacency_matrix", bumped)
+    report = run_verify_suite(path3(), seed=0, options=FAST)
+    [result] = [r for r in report.failures if r.check_name == "laplacian_decomposition"]
+    assert result.counterexample.startswith("L differs from D - A at (v1, v2): -1 vs -2\n")
 
 
 def test_family_check_inventory():

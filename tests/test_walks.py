@@ -439,6 +439,17 @@ class TestDualityRelationships:
     def test_half_step_transpose(self, g):
         assert walk_matrix(g, "V", "E", 1).transpose() == walk_matrix(g, "E", "V", 1)
 
+    @pytest.mark.parametrize("simple", [True, False])
+    @given(data=st.data())
+    def test_three_incidence_cross_walk_gap_in_closed_form(self, simple, data):
+        # The direction sensitivity pinned below, as a matrix: entry (e, v)
+        # of W(V,E,3)^T - W(E,V,3) is H(v, e) * (deg v - |e|).
+        g = data.draw(instances(max_vertices=4, max_edges=4, simple=simple))
+        ht = incidence_matrix(g).transpose()
+        gap = ht @ degree_matrix(g) - degree_matrix(incidence_dual(g)) @ ht
+        for build in (walk_matrix, oracle_walk_matrix):
+            assert build(g, "V", "E", 3).transpose() - build(g, "E", "V", 3) == gap
+
     def test_three_incidence_cross_walks_are_direction_sensitive(self):
         # Leaving a vertex along the arrival incidence is allowed, but the
         # mirrored move at an edge is not, so vertex-to-edge counts can
