@@ -114,18 +114,18 @@ class OrientedHypergraph:
     def incidences_at_vertex(self, vertex: str) -> tuple[Incidence, ...]:
         """All incidences containing ``vertex``, in canonical order."""
         try:
-            row = self._walk_tables[0][self.vertex_index[vertex]]
+            idx = self.vertex_index[vertex]
         except KeyError:
             raise ValueError(f"unknown vertex {vertex!r}") from None
-        return tuple(inc for _, _, inc in row)
+        return tuple(inc for _, _, inc in self._walk_tables[0][idx])
 
     def incidences_at_edge(self, edge: str) -> tuple[Incidence, ...]:
         """All incidences containing ``edge``, in canonical order."""
         try:
-            row = self._walk_tables[1][self.edge_index[edge]]
+            idx = self.edge_index[edge]
         except KeyError:
             raise ValueError(f"unknown edge {edge!r}") from None
-        return tuple(inc for _, _, inc in row)
+        return tuple(inc for _, _, inc in self._walk_tables[1][idx])
 
     def degree(self, vertex: str) -> int:
         """Number of incidences containing ``vertex``."""

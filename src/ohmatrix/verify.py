@@ -3,9 +3,10 @@
 Every matrix identity the library promises is checked against independent
 reconstructions, most of them through the brute-force walk search
 (:func:`oracle_walk_matrix` and :func:`oracle_walk_counts`, one search per
-source anchor).  ``VerifyOptions.max_walks`` bounds the walks each of those
-searches may generate; a trial whose search would exceed it is reported
-INCOMPLETE.
+source anchor, recursing once per pair step, about n/2 deep).
+``VerifyOptions.max_walks`` bounds the walks each of those searches may
+generate; a trial whose search would exceed it is reported INCOMPLETE.
+Each distinct random switching drawn for an instance is checked once.
 A failing check always carries a reproducible counterexample: the canonical
 serialization of the instance plus the first differing entries, and the
 seeds that regenerate it.
@@ -57,12 +58,14 @@ class VerifyOptions:
     Family mode generates ``trials`` random instances within the size caps.
     ``max_walk_incidences`` bounds the walk oracle (adjacency powers are
     checked up to half that many steps) and may not exceed
-    ``INCIDENCE_CAP``.  ``max_walks`` bounds the walks generated by each
-    oracle search, one per source anchor; a search that would generate
-    more cuts its trial short, and the report is INCOMPLETE.  Negative
-    counts raise ValueError, since they would pass checks that never ran,
-    and so do size caps and walk ceilings below 1, which no random
-    instance or search can meet.
+    ``INCIDENCE_CAP``; the oracle's search recurses about n/2 deep.
+    ``switching_trials`` random switchings are drawn per instance, and
+    each distinct one is checked once.  ``max_walks`` bounds the walks
+    generated by each oracle search, one per source anchor; a search that
+    would generate more cuts its trial short, and the report is
+    INCOMPLETE.  Negative counts raise ValueError, since they would pass
+    checks that never ran, and so do size caps and walk ceilings below 1,
+    which no random instance or search can meet.
     """
 
     trials: int = 100
@@ -234,9 +237,16 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
         )
 
     def switching_diffs():
+        # Every trial still draws its values, so the draws do not shift; a
+        # repeat of a switching already checked would build the same matrices.
         theta_rng = random.Random(theta_seed)
+        checked = set()
         for _ in range(options.switching_trials):
-            theta = SwitchingFunction({v: theta_rng.choice((1, -1)) for v in g.vertices})
+            values = tuple(theta_rng.choice((1, -1)) for _ in g.vertices)
+            if values in checked:
+                continue
+            checked.add(values)
+            theta = SwitchingFunction(dict(zip(g.vertices, values)))
             dt = switching_matrix(theta, g.vertices)
             gs = switch(g, theta)
             for name, left, right in (

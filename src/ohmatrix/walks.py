@@ -20,9 +20,10 @@ The sign of a walk with n incidences is (-1)**(n // 2) times the product of
 its incidence signs; backsteps (weak one-step returns v, i, e, i, v) are
 therefore always negative.
 
-Enumeration is exhaustive depth-first search and is intended as a
-desk-scale oracle; ceilings on the incidence count and on the number of
-generated walks keep runs bounded.  Walk matrices are computed in closed
+Enumeration is exhaustive depth-first search, one level per pair step of
+two incidences, and is intended as a desk-scale oracle; it still generates
+every walk one by one.  Ceilings on the incidence count and on the number
+of generated walks keep runs bounded.  Walk matrices are computed in closed
 form instead, as products of one pair-step matrix (see :func:`walk_matrix`),
 with :func:`oracle_walk_matrix` as their brute-force reference;
 :func:`oracle_walk_counts` gives the same search's counts split by sign.
@@ -36,8 +37,9 @@ from .core import Incidence, OrientedHypergraph
 from .matrices import LabeledIntegerMatrix, _one_steps, _pair_steps
 
 
-# Deepest walk search allowed: well inside the interpreter's default
-# recursion limit of 1000 frames.
+# Largest incidence count a walk search accepts.  The search recurses about
+# n/2 deep, once per pair step, so this stays well inside the interpreter's
+# default recursion limit of 1000 frames.
 INCIDENCE_CAP = 500
 
 
@@ -50,7 +52,7 @@ class EnumerationLimits:
     """Ceilings for a walk search.
 
     ``max_incidences`` bounds the requested incidence count n, and may not
-    exceed ``INCIDENCE_CAP``, since the search recurses once per incidence;
+    exceed ``INCIDENCE_CAP``, since the search recurses once per pair step;
     ``max_walks`` bounds the number of walk sequences generated during one
     search, counting every complete sequence regardless of its endpoint.
     A ceiling below its least useful value (0 incidences, 1 walk) raises
@@ -181,40 +183,64 @@ def _check_walk(g: OrientedHypergraph, walk: Walk) -> None:
         is_vertex = not is_vertex
 
 
-def _search(tables, start_is_vertex, start_idx, n, weak, limits, visit) -> None:
+def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
+    """The rows one search walks over, from every anchor of the start kind.
+
+    ``pairs[a]`` lists the pair steps ``(target, -s1*s2, first, second)``
+    from anchor a, in canonical order; the two incidences are distinct
+    objects unless ``weak``.  ``last[a]`` lists the final steps from a: the
+    pair steps for even n, the one-incidence steps ``(end, sign, inc)`` for
+    odd n, and the trivial ``(a, 1)`` for n = 0.  Every entry's incidences
+    are its items from index 2 on.
+    """
+    here, there = g._walk_tables if start_is_vertex else g._walk_tables[::-1]
+    pairs = tuple(
+        tuple(
+            (target, -s1 * s2, first, second)
+            for mid, s1, first in steps
+            for target, s2, second in there[mid]
+            if weak or second is not first
+        )
+        for steps in here
+    ) if n >= 2 else ()
+    if n == 0:
+        last = tuple(((idx, 1),) for idx in range(len(here)))
+    else:
+        last = here if n % 2 else pairs
+    return pairs, last
+
+
+def _search(plan, start: int, n: int, limits: EnumerationLimits, visit) -> None:
     """The one walk search: depth-first over every walk with ``n`` incidences
     from one anchor, in canonical order, whatever the endpoint.
 
-    Calls ``visit(end_index, incidences, sign)`` per walk; ``incidences`` is
-    the live stack.  Every complete walk counts against ``limits.max_walks``.
+    It recurses once per interior pair step, (n - 1) // 2 of them for n > 0,
+    and calls ``visit(idx, prefix, sign)`` once per anchor ``idx`` reached,
+    where ``prefix`` (the live stack) and ``sign`` cover the interior steps;
+    each entry of ``plan``'s last row at ``idx`` completes one walk.  Every
+    complete walk counts against ``limits.max_walks``, and they are taken
+    off the budget before ``visit`` runs.
     """
-    at_vertex, at_edge = tables
+    pairs, last = plan
     budget = [limits.max_walks]
-    incs: list[Incidence] = []
+    prefix: list[Incidence] = []
 
-    def descend(is_vertex: bool, idx: int, h: int, last: Incidence | None, prod: int) -> None:
-        check = not weak and h % 2 == 0
-        for other, sign, inc in at_vertex[idx] if is_vertex else at_edge[idx]:
-            if check and inc is last:
-                continue
-            incs.append(inc)
-            if h < n:
-                descend(not is_vertex, other, h + 1, inc, prod * sign)
-            else:
-                # The last incidence is handled in this loop rather than one
-                # call deeper: the oracle's cost is one call per walk.
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise EnumerationLimitError(
-                        f"walk enumeration exceeded the ceiling of {limits.max_walks} walks"
-                    )
-                visit(other, incs, prod * sign)
-            incs.pop()
+    def descend(idx: int, steps: int, sign: int) -> None:
+        if steps:
+            for target, step_sign, first, second in pairs[idx]:
+                prefix.append(first)
+                prefix.append(second)
+                descend(target, steps - 1, sign * step_sign)
+                del prefix[-2:]
+        else:
+            budget[0] -= len(last[idx])
+            if budget[0] < 0:
+                raise EnumerationLimitError(
+                    f"walk enumeration exceeded the ceiling of {limits.max_walks} walks"
+                )
+            visit(idx, prefix, sign)
 
-    if n:
-        descend(start_is_vertex, start_idx, 1, None, -1 if (n // 2) % 2 else 1)
-    else:
-        visit(start_idx, incs, 1)  # the trivial walk
+    descend(start, max(0, (n - 1) // 2), 1)
 
 
 def enumerate_walks(
@@ -237,16 +263,19 @@ def enumerate_walks(
     end_is_vertex = _anchor_is_vertex(g, end)
     _require_length(start_is_vertex, end_is_vertex, n)
     target = (g.vertex_index if end_is_vertex else g.edge_index)[end]
+    plan = _plan(g, start_is_vertex, n, weak)
     walks: list[Walk] = []
 
-    def keep(end_idx: int, incs: list[Incidence], _sign: int) -> None:
-        if end_idx == target:
-            anchors = (start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
-                                for h, inc in enumerate(incs)))
-            walks.append(Walk(anchors, tuple(incs), weak))
+    def keep(idx: int, prefix: list[Incidence], _sign: int) -> None:
+        for entry in plan[1][idx]:
+            if entry[0] == target:
+                incs = (*prefix, *entry[2:])
+                anchors = (start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
+                                    for h, inc in enumerate(incs)))
+                walks.append(Walk(anchors, incs, weak))
 
     index = g.vertex_index if start_is_vertex else g.edge_index
-    _search(g._walk_tables, start_is_vertex, index[start], n, weak, limits, keep)
+    _search(plan, index[start], n, limits, keep)
     return walks
 
 
@@ -297,17 +326,25 @@ def oracle_walk_counts(
     n = half_length_numerator
     row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
     _require_ceiling(n, limits)
+    plan = _plan(g, rows_vertex, n, weak)
+    # Each last row split by sign once: a walk is then one counter increment.
+    ends = [
+        ([e[0] for e in row if e[1] > 0], [e[0] for e in row if e[1] < 0]) for row in plan[1]
+    ]
     positive, negative = [], []
     for start in range(len(row_labels)):
         plus, minus = [0] * len(col_labels), [0] * len(col_labels)
 
-        def tally(end_idx: int, _incs: list[Incidence], sign: int) -> None:
-            if sign > 0:
-                plus[end_idx] += 1
-            else:
-                minus[end_idx] += 1
+        def tally(idx: int, _prefix: list[Incidence], sign: int) -> None:
+            same, flipped = ends[idx]
+            if sign < 0:
+                same, flipped = flipped, same
+            for end in same:
+                plus[end] += 1
+            for end in flipped:
+                minus[end] += 1
 
-        _search(g._walk_tables, rows_vertex, start, n, weak, limits, tally)
+        _search(plan, start, n, limits, tally)
         positive.append(plus)
         negative.append(minus)
     return (

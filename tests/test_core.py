@@ -6,6 +6,7 @@ from ohmatrix import (
     Incidence,
     OrientedHypergraph,
     SwitchingFunction,
+    adjacency_matrix,
     incidence_dual,
     is_k_regular,
     is_k_uniform,
@@ -183,3 +184,25 @@ def test_equality_ignores_incidence_storage_order():
     )
     assert a == b and hash(a) == hash(b)
     assert a != OrientedHypergraph(("v2", "v1"), ("e1",), a.incidences)
+
+
+class TestIncidenceLookups:
+    def test_undeclared_label_is_a_value_error(self):
+        g = two_vertex_edge()
+        with pytest.raises(ValueError, match="^unknown vertex 'v9'$"):
+            g.incidences_at_vertex("v9")
+        with pytest.raises(ValueError, match="^unknown edge 'e9'$"):
+            g.edge_size("e9")
+
+    @pytest.mark.parametrize("inc, bad", [
+        (Incidence("v9", "e1"), "v9"), (Incidence("v1", "e9"), "e9"),
+    ])
+    def test_incidence_naming_an_undeclared_label_names_that_label(self, inc, bad):
+        # A declared label is looked up fine; the index build then fails on
+        # the incidence's own undeclared label, as adjacency_matrix does.
+        g = OrientedHypergraph(("v1",), ("e1",), (inc,))
+        for lookup in (lambda: g.incidences_at_vertex("v1"), lambda: g.degree("v1"),
+                       lambda: g.incidences_at_edge("e1"), lambda: g.edge_size("e1"),
+                       lambda: adjacency_matrix(g)):
+            with pytest.raises(KeyError, match=f"^'{bad}'$"):
+                lookup()

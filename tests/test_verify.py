@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -7,6 +8,7 @@ import ohmatrix.matrices
 import ohmatrix.verify
 import ohmatrix.walks
 from ohmatrix import (
+    Incidence,
     LabeledIntegerMatrix,
     OrientedHypergraph,
     VerifyOptions,
@@ -260,3 +262,59 @@ def test_corrupted_walk_counts_fail_the_count_checks(monkeypatch, weak):
     failures = {r.check_name: r.counterexample for r in report.failures}
     for name in ("degree_backsteps", "laplacian_walk_entries"):
         assert "(v2, v3)" in failures[name], failures
+
+
+def _count_switchings(monkeypatch):
+    calls = []
+    real = ohmatrix.verify.switch
+
+    def counted(g, theta):
+        calls.append(tuple(theta.assignment.values()))
+        return real(g, theta)
+
+    monkeypatch.setattr(ohmatrix.verify, "switch", counted)
+    return calls
+
+
+def test_each_distinct_switching_is_checked_once(monkeypatch):
+    calls = _count_switchings(monkeypatch)
+    g = path3()
+    report = run_verify_suite(g, seed=17, options=VerifyOptions(switching_trials=20))
+    assert report.passed(), format_report(report)
+    # A single instance takes one theta seed from the master seed, and each
+    # switching trial draws one value per vertex from it.
+    rng = random.Random(random.Random(17).getrandbits(64))
+    draws = [tuple(rng.choice((1, -1)) for _ in g.vertices) for _ in range(20)]
+    assert len(set(draws)) < len(draws)
+    assert calls == list(dict.fromkeys(draws))
+
+
+def test_one_vertex_has_at_most_two_switchings(monkeypatch):
+    calls = _count_switchings(monkeypatch)
+    g = OrientedHypergraph(("v1",), ("e1",), (Incidence("v1", "e1", 1, -1),))
+    report = run_verify_suite(g, seed=0, options=VerifyOptions(switching_trials=20))
+    assert report.passed(), format_report(report)
+    assert 1 <= len(calls) <= 2
+
+
+def test_corrupted_adjacency_fails_switching_at_the_first_differing_theta(monkeypatch):
+    # With seed 17 the draws repeat two switchings before the first one that
+    # separates v1 from v2; skipping the repeats reports that same one.
+    real = ohmatrix.matrices.adjacency_matrix
+
+    def bumped(g):
+        a = real(g)
+        rows = [list(row) for row in a.entries]
+        rows[0][1] += 1
+        return LabeledIntegerMatrix(a.row_labels, a.col_labels, rows)
+
+    for module in (ohmatrix.matrices, ohmatrix.verify):
+        monkeypatch.setattr(module, "adjacency_matrix", bumped)
+    g = path3()
+    report = run_verify_suite(g, seed=17, options=VerifyOptions(switching_trials=20))
+    [result] = [r for r in report.failures if r.check_name == "switching_conjugation"]
+    assert result.counterexample == (
+        "A after switching differs from conjugated A at (v1, v2): 0 vs -2 "
+        "[theta={'v1': -1, 'v2': 1, 'v3': 1}]\n"
+        f"instance:\n{serialize_instance(g)}"
+    )

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from ohmatrix import (
     laplacian,
     oracle_walk_counts,
     oracle_walk_matrix,
+    random_instance,
     walk_counts,
     walk_matrix,
     walk_sign,
@@ -466,3 +468,96 @@ def test_empty_hypergraph_walks():
     g = OrientedHypergraph((), (), ())
     assert walk_matrix(g, "V", "V", 0).shape == (0, 0)
     assert walk_matrix(g, "V", "E", 1).shape == (0, 0)
+
+
+def _walks_by_brute_force(g, n, weak):
+    """Every walk with n incidences, keyed by (start, end) and in canonical
+    order: each incidence sequence is read from either kind of start and
+    kept when walk_sign accepts it."""
+    found = {}
+    if n == 0:
+        for a in (*g.vertices, *g.edges):
+            found[(a, a)] = [Walk((a,), (), weak)]
+        return found
+    for incs in itertools.product(g.incidences, repeat=n):
+        for is_vertex in (True, False):
+            anchors = [incs[0].vertex if is_vertex else incs[0].edge]
+            for inc in incs:
+                anchors.append(inc.edge if is_vertex else inc.vertex)
+                is_vertex = not is_vertex
+            walk = Walk(tuple(anchors), incs, weak)
+            try:
+                walk_sign(g, walk)
+            except ValueError:
+                continue
+            found.setdefault((anchors[0], anchors[-1]), []).append(walk)
+    for walks in found.values():
+        walks.sort(key=lambda w: [g.incidence_sort_key(inc) for inc in w.incidences])
+    return found
+
+
+# Two to seven incidences each: up to 7**5 sequences per search length.
+TINY = [
+    *(random_instance(seed, 3, 3, 3, simple=True) for seed in range(3)),
+    *(random_instance(seed, 2, 3, 3, simple=False, non_simple_rate=0.5) for seed in range(3)),
+    double_incidence(),
+]
+
+
+class TestSearch:
+    @pytest.mark.parametrize("weak", [False, True])
+    @pytest.mark.parametrize("g", TINY)
+    def test_enumerates_every_walk_that_walk_sign_accepts(self, g, weak):
+        anchors = (*g.vertices, *g.edges)
+        for n in range(6):
+            expected = _walks_by_brute_force(g, n, weak)
+            for start, end in itertools.product(anchors, repeat=2):
+                if ((start in g.vertices) != (end in g.vertices)) != n % 2:
+                    continue
+                assert enumerate_walks(g, start, end, n, weak=weak) == expected.get(
+                    (start, end), []
+                ), (start, end, n)
+
+    def test_oracle_calls_no_closed_form_construction(self, monkeypatch):
+        g = path3()
+        calls = [
+            (rows, cols, n, weak) for rows, cols, odd in FAMILY_PAIRS
+            for n in range(odd, 6, 2) for weak in (False, True)
+        ]
+        counts = {call: oracle_walk_counts(g, *call[:3], weak=call[3]) for call in calls}
+        walks = {n: enumerate_walks(g, "v2", "v2", n) for n in (0, 2, 4)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle used a closed-form construction")
+
+        for module in (ohmatrix.matrices, ohmatrix.walks):
+            for name in ("_pair_steps", "_one_steps"):
+                monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(LabeledIntegerMatrix, "__matmul__", refuse)
+        for call, expected in counts.items():
+            assert oracle_walk_counts(g, *call[:3], weak=call[3]) == expected
+        for n, expected in walks.items():
+            assert enumerate_walks(g, "v2", "v2", n) == expected
+
+    @pytest.mark.parametrize("weak", [False, True])
+    @pytest.mark.parametrize("build", [uniform3_edge, double_incidence, path3])
+    def test_refuses_exactly_the_searches_above_the_walk_ceiling(self, build, weak):
+        g = build()
+        for n in range(5):
+            ends = g.vertices if n % 2 == 0 else g.edges
+            for start in g.vertices:
+                total = sum(len(enumerate_walks(g, start, end, n, weak)) for end in ends)
+                if total < 2:
+                    continue
+                exact = EnumerationLimits(max_walks=total)
+                below = EnumerationLimits(max_walks=total - 1)
+                enumerate_walks(g, start, ends[0], n, weak, exact)
+                with pytest.raises(EnumerationLimitError, match=f"ceiling of {total - 1} walks"):
+                    enumerate_walks(g, start, ends[0], n, weak, below)
+            cols = "V" if n % 2 == 0 else "E"
+            positive, negative = oracle_walk_counts(g, "V", cols, n, weak)
+            most = max(map(sum, (positive + negative).entries))
+            oracle_walk_counts(g, "V", cols, n, weak, EnumerationLimits(max_walks=most))
+            if most > 1:
+                with pytest.raises(EnumerationLimitError, match="exceeded"):
+                    oracle_walk_counts(g, "V", cols, n, weak, EnumerationLimits(max_walks=most - 1))
