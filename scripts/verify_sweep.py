@@ -12,7 +12,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--max-walk-incidences", type=int, default=8)
+    parser.add_argument(
+        "--max-walk-incidences", type=int, default=VerifyOptions.max_walk_incidences
+    )
     args = parser.parse_args()
 
     options = VerifyOptions(

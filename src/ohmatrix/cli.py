@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .core import incidence_dual, switch, validate
@@ -23,6 +24,8 @@ from .matrices import (
 )
 from .signed import from_hypergraph, line_graph, to_hypergraph
 from .walks import (
+    DEFAULT_LIMITS,
+    INCIDENCE_CAP,
     EnumerationLimitError,
     EnumerationLimits,
     enumerate_walks,
@@ -156,16 +159,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    options = VerifyOptions(
-        trials=args.trials,
-        max_vertices=args.max_vertices,
-        max_edges=args.max_edges,
-        max_edge_size=args.max_edge_size,
-        max_walk_incidences=args.max_walk_incidences,
-        switching_trials=args.switching_trials,
-        max_walks=args.max_walks,
-        self_test=args.self_test,
-    )
+    options = VerifyOptions(**{f.name: getattr(args, f.name) for f in fields(VerifyOptions)})
     instance = _load_instance(args.instance) if args.instance else None
     report = run_verify_suite(instance, seed=args.seed, options=options)
     print(format_report(report), end="")
@@ -208,10 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="dst", required=True, help="end anchor label")
     p.add_argument("--n", type=int, required=True, help="incidence count (twice the length)")
     p.add_argument("--weak", action="store_true", help="allow immediate returns")
-    p.add_argument("--max-incidences", type=int, default=12,
-                   help="ceiling on the incidence count (default 12, at most 500)")
-    p.add_argument("--max-walks", type=int, default=1_000_000,
-                   help="ceiling on generated walks per search (default 1000000)")
+    p.add_argument("--max-incidences", type=int, default=DEFAULT_LIMITS.max_incidences,
+                   help="ceiling on the incidence count "
+                   f"(default %(default)s, at most {INCIDENCE_CAP})")
+    p.add_argument("--max-walks", type=int, default=DEFAULT_LIMITS.max_walks,
+                   help="ceiling on generated walks per search (default %(default)s)")
     p.set_defaults(func=cmd_walks)
 
     p = sub.add_parser("walk-matrix", help="signed net walk counts between anchor families")
@@ -244,15 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("instance", nargs="?", default=None,
                    help="optional instance file; otherwise a seeded random family")
+    defaults = VerifyOptions()
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--max-edges", type=int, default=8)
-    p.add_argument("--max-edge-size", type=int, default=4)
-    p.add_argument("--max-walk-incidences", type=int, default=8)
-    p.add_argument("--switching-trials", type=int, default=20)
-    p.add_argument("--max-walks", type=int, default=1_000_000,
-                   help="ceiling on generated walks per search (default 1000000)")
+    p.add_argument("--trials", type=int, default=defaults.trials)
+    p.add_argument("--max-vertices", type=int, default=defaults.max_vertices)
+    p.add_argument("--max-edges", type=int, default=defaults.max_edges)
+    p.add_argument("--max-edge-size", type=int, default=defaults.max_edge_size)
+    p.add_argument("--max-walk-incidences", type=int, default=defaults.max_walk_incidences)
+    p.add_argument("--switching-trials", type=int, default=defaults.switching_trials)
+    p.add_argument("--max-walks", type=int, default=defaults.max_walks,
+                   help="ceiling on generated walks per search (default %(default)s)")
     p.add_argument("--self-test", action="store_true",
                    help="also check that the harness detects a corrupted matrix")
     p.set_defaults(func=cmd_verify)

@@ -31,10 +31,10 @@ class Incidence:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"incidence sign must be +1 or -1, got {self.sign!r}")
-        if self.mult_index < 1:
-            raise ValueError(f"mult_index must be at least 1, got {self.mult_index!r}")
+        if type(self.mult_index) is not int or self.mult_index < 1:
+            raise ValueError(f"mult_index must be a positive integer, got {self.mult_index!r}")
 
     @property
     def triple(self) -> tuple[str, str, int]:
@@ -144,7 +144,7 @@ class SwitchingFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", dict(self.assignment))
-        bad = {v: s for v, s in self.assignment.items() if s not in (1, -1)}
+        bad = {v: s for v, s in self.assignment.items() if type(s) is not int or s not in (1, -1)}
         if bad:
             raise ValueError(f"switching values must be +1 or -1, got {bad!r}")
 

@@ -29,6 +29,17 @@ class InstanceFormatError(ValueError):
     """Raised for malformed instance, matrix, or switching documents."""
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise InstanceFormatError("invalid JSON: nested too deeply to decode") from None
+
+
 def _string_list(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise InstanceFormatError(f"{where} must be an array of strings")
@@ -51,12 +62,7 @@ def parse_instance(text: str, *, require_valid: bool = True) -> OrientedHypergra
     value problems).  With ``require_valid`` (the default) any structural
     invariant violation is also rejected, with one message per violation.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level must be a JSON object")
     missing = [k for k in _INSTANCE_FIELDS if k not in doc]
@@ -144,12 +150,7 @@ def serialize_matrix(m: LabeledIntegerMatrix, fmt: str = "csv") -> str:
 def parse_matrix(text: str, fmt: str = "csv") -> LabeledIntegerMatrix:
     """Inverse of :func:`serialize_matrix` for both formats."""
     if fmt == "json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+        doc = _load_json(text)
         if not isinstance(doc, dict) or set(doc) != {"rows", "cols", "entries"}:
             raise InstanceFormatError("matrix JSON needs exactly rows, cols, entries")
         rows = _string_list(doc["rows"], "rows")
@@ -203,12 +204,7 @@ def parse_matrix(text: str, fmt: str = "csv") -> LabeledIntegerMatrix:
 
 def parse_switching(text: str) -> SwitchingFunction:
     """Parse a JSON object mapping vertex labels to +1 or -1."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InstanceFormatError("switching document must be a JSON object")
     assignment = {}

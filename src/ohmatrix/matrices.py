@@ -55,7 +55,7 @@ class LabeledIntegerMatrix:
                     f"expected {len(self.col_labels)} columns, got a row of length {len(row)}"
                 )
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:
                     raise TypeError(f"matrix entries must be integers, got {x!r}")
 
     @classmethod

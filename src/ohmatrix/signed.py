@@ -1,9 +1,10 @@
 """Two-incidence edges as signed graphs: conversion and line graphs.
 
 A hypergraph whose edges all have exactly two incidences is the same data
-as a signed graph with an orientation value of +1 or -1 at each endpoint:
-the edge sign is -tau(v, e) * tau(w, e) for the endpoints v, w.  This
-module converts between the two representations and builds the signed line
+as a signed graph with an orientation value of +1 or -1 at each endpoint.
+The orientation fixes the edge sign as -tau(v, e) * tau(w, e) for the
+endpoints v, w, so the sign is derived, never stored.  This module
+converts between the two representations and builds the signed line
 graph, whose adjacency matrix matches the adjacency matrix of the
 incidence dual.
 """
@@ -11,7 +12,8 @@ incidence dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import combinations
+from typing import Mapping
 
 from .core import Incidence, OrientedHypergraph
 
@@ -20,18 +22,18 @@ from .core import Incidence, OrientedHypergraph
 class OrientedSignedGraph:
     """A signed graph with an orientation value at each edge endpoint.
 
-    ``endpoints`` maps each edge to its two endpoint vertices (normalized
-    to vertex declaration order; a loop repeats one vertex), ``orientation``
-    assigns +1 or -1 to exactly the incident (vertex, edge) pairs, and
-    ``signature`` holds the edge signs.  Construction validates internal
-    consistency, including signature(e) = -tau(v, e) * tau(w, e).
+    It stores four fields.  ``endpoints`` maps each edge to its two
+    endpoint vertices (normalized to vertex declaration order; a loop
+    repeats one vertex), and ``orientation`` assigns +1 or -1 to exactly
+    the incident (vertex, edge) pairs.  Construction validates both.  The
+    edge signs, ``signature``, are computed from the orientation on each
+    read, so they always agree with it.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[str, ...]
     endpoints: Mapping[str, tuple[str, str]]
     orientation: Mapping[tuple[str, str], int]
-    signature: Mapping[str, int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -57,48 +59,33 @@ class OrientedSignedGraph:
         if set(self.orientation) != expected_keys:
             raise ValueError("orientation must be defined on exactly the incident (vertex, edge) pairs")
         for key, t in self.orientation.items():
-            if t not in (1, -1):
+            if type(t) is not int or t not in (1, -1):
                 raise ValueError(f"orientation value at {key} must be +1 or -1, got {t!r}")
         object.__setattr__(self, "orientation", dict(self.orientation))
-        if set(self.signature) != eset:
-            raise ValueError("signature must cover exactly the declared edges")
-        for e in self.edges:
-            v, w = norm[e]
-            expected = -self.orientation[(v, e)] * self.orientation[(w, e)]
-            if self.signature[e] != expected:
-                raise ValueError(
-                    f"signature of edge {e!r} is {self.signature[e]}, "
-                    f"expected {expected} from its orientation values"
-                )
-        object.__setattr__(self, "signature", dict(self.signature))
 
-    @classmethod
-    def from_orientation(
-        cls,
-        vertices: Iterable[str],
-        edges: Iterable[str],
-        endpoints: Mapping[str, tuple[str, str]],
-        orientation: Mapping[tuple[str, str], int],
-    ) -> "OrientedSignedGraph":
-        """Build a graph with the signature computed from the orientation."""
-        signature = {}
-        for e, (v, w) in dict(endpoints).items():
-            try:
-                signature[e] = -orientation[(v, e)] * orientation[(w, e)]
-            except KeyError as exc:
-                raise ValueError(f"orientation missing a value for {exc.args[0]}") from None
-        return cls(tuple(vertices), tuple(edges), dict(endpoints), dict(orientation), signature)
+    @property
+    def signature(self) -> dict[str, int]:
+        """Edge signs sigma(e) = -tau(v, e) * tau(w, e), in edge order."""
+        tau = self.orientation
+        return {e: -tau[(v, e)] * tau[(w, e)] for e, (v, w) in self.endpoints.items()}
+
+
+def _first_non_simple_edge(s: OrientedSignedGraph) -> tuple[str, str] | None:
+    """``(kind, edge)`` for the first loop or parallel edge, or None."""
+    seen: set[tuple[str, str]] = set()
+    for e in s.edges:
+        v, w = s.endpoints[e]
+        if v == w:
+            return "loop", e
+        if (v, w) in seen:
+            return "parallel", e
+        seen.add((v, w))
+    return None
 
 
 def underlying_is_simple(s: OrientedSignedGraph) -> bool:
     """True when the graph has no loops and no repeated endpoint pair."""
-    seen: set[tuple[str, str]] = set()
-    for e in s.edges:
-        v, w = s.endpoints[e]
-        if v == w or (v, w) in seen:
-            return False
-        seen.add((v, w))
-    return True
+    return _first_non_simple_edge(s) is None
 
 
 def from_hypergraph(g: OrientedHypergraph) -> OrientedSignedGraph:
@@ -117,19 +104,15 @@ def from_hypergraph(g: OrientedHypergraph) -> OrientedSignedGraph:
         if len(incs) != 2:
             raise ValueError(f"edge {e!r} has size {len(incs)}, need exactly 2")
         first, second = incs
-        if first.vertex == second.vertex:
-            if first.sign != second.sign:
-                raise ValueError(
-                    f"loop edge {e!r} carries two different incidence signs; "
-                    "a single orientation value per (vertex, edge) pair cannot represent it"
-                )
-            endpoints[e] = (first.vertex, first.vertex)
-            orientation[(first.vertex, e)] = first.sign
-        else:
-            endpoints[e] = (first.vertex, second.vertex)
-            orientation[(first.vertex, e)] = first.sign
-            orientation[(second.vertex, e)] = second.sign
-    return OrientedSignedGraph.from_orientation(g.vertices, g.edges, endpoints, orientation)
+        if first.vertex == second.vertex and first.sign != second.sign:
+            raise ValueError(
+                f"loop edge {e!r} carries two different incidence signs; "
+                "a single orientation value per (vertex, edge) pair cannot represent it"
+            )
+        endpoints[e] = (first.vertex, second.vertex)
+        orientation[(first.vertex, e)] = first.sign
+        orientation[(second.vertex, e)] = second.sign
+    return OrientedSignedGraph(g.vertices, g.edges, endpoints, orientation)
 
 
 def to_hypergraph(s: OrientedSignedGraph) -> OrientedHypergraph:
@@ -141,13 +124,8 @@ def to_hypergraph(s: OrientedSignedGraph) -> OrientedHypergraph:
     incidences: list[Incidence] = []
     for e in s.edges:
         v, w = s.endpoints[e]
-        if v == w:
-            t = s.orientation[(v, e)]
-            incidences.append(Incidence(v, e, 1, t))
-            incidences.append(Incidence(v, e, 2, t))
-        else:
-            incidences.append(Incidence(v, e, 1, s.orientation[(v, e)]))
-            incidences.append(Incidence(w, e, 1, s.orientation[(w, e)]))
+        incidences.append(Incidence(v, e, 1, s.orientation[(v, e)]))
+        incidences.append(Incidence(w, e, 2 if v == w else 1, s.orientation[(w, e)]))
     return OrientedHypergraph(s.vertices, s.edges, incidences)
 
 
@@ -167,14 +145,10 @@ def line_graph(s: OrientedSignedGraph) -> OrientedSignedGraph:
     the shared vertex: tau_line(e1, f) = tau(v, e1) and tau_line(e2, f) =
     tau(v, e2); the line edge sign follows as -tau_line * tau_line.
     """
-    seen_pairs: set[tuple[str, str]] = set()
-    for e in s.edges:
-        v, w = s.endpoints[e]
-        if v == w:
-            raise ValueError(f"line graph is undefined for loop edge {e!r}")
-        if (v, w) in seen_pairs:
-            raise ValueError(f"line graph is undefined for parallel edge {e!r}")
-        seen_pairs.add((v, w))
+    offender = _first_non_simple_edge(s)
+    if offender is not None:
+        kind, e = offender
+        raise ValueError(f"line graph is undefined for {kind} edge {e!r}")
 
     edges_at: dict[str, list[str]] = {v: [] for v in s.vertices}
     for e in s.edges:
@@ -187,14 +161,10 @@ def line_graph(s: OrientedSignedGraph) -> OrientedSignedGraph:
     endpoints: dict[str, tuple[str, str]] = {}
     orientation: dict[tuple[str, str], int] = {}
     for v in s.vertices:
-        es = edges_at[v]
-        for a in range(len(es)):
-            for b in range(a + 1, len(es)):
-                e1, e2 = es[a], es[b]
-                f = _fresh_label(f"{e1}~{e2}", used)
-                line_edges.append(f)
-                endpoints[f] = (e1, e2)
-                orientation[(e1, f)] = s.orientation[(v, e1)]
-                orientation[(e2, f)] = s.orientation[(v, e2)]
-    return OrientedSignedGraph.from_orientation(s.edges, line_edges, endpoints, orientation)
-
+        for e1, e2 in combinations(edges_at[v], 2):
+            f = _fresh_label(f"{e1}~{e2}", used)
+            line_edges.append(f)
+            endpoints[f] = (e1, e2)
+            orientation[(e1, f)] = s.orientation[(v, e1)]
+            orientation[(e2, f)] = s.orientation[(v, e2)]
+    return OrientedSignedGraph(s.edges, line_edges, endpoints, orientation)

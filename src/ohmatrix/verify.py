@@ -36,6 +36,7 @@ from .matrices import (
 )
 from .signed import from_hypergraph, line_graph, to_hypergraph, underlying_is_simple
 from .walks import (
+    DEFAULT_LIMITS,
     INCIDENCE_CAP,
     EnumerationLimits,
     EnumerationLimitError,
@@ -74,7 +75,7 @@ class VerifyOptions:
     max_edge_size: int = 4
     max_walk_incidences: int = 8
     switching_trials: int = 20
-    max_walks: int = 1_000_000
+    max_walks: int = DEFAULT_LIMITS.max_walks
     self_test: bool = False
 
     def __post_init__(self) -> None:

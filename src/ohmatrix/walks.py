@@ -96,11 +96,6 @@ class Walk:
             raise ValueError("a walk needs exactly one more anchor than incidences")
 
     @property
-    def half_length_numerator(self) -> int:
-        """Number of incidences; the walk length is half this value."""
-        return len(self.incidences)
-
-    @property
     def is_backstep(self) -> bool:
         """True for a one-step vertex walk that returns along its own incidence."""
         return (

@@ -2,12 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ohmatrix import parse_instance, random_instance, serialize_instance
-from ohmatrix.cli import main
+from ohmatrix import (
+    DEFAULT_LIMITS,
+    EnumerationLimits,
+    VerifyOptions,
+    parse_instance,
+    random_instance,
+    serialize_instance,
+)
+from ohmatrix.cli import build_parser, main
 
 from helpers import path3, two_vertex_edge
 
@@ -44,6 +52,15 @@ def test_unparseable_file_is_an_input_error(tmp_path, capsys):
     path.write_text("{ nope")
     assert main(["validate", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_file_exits_2_without_traceback(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON: nested too deeply to decode\n"
 
 
 def test_matrix_csv_golden(instance_file, capsys):
@@ -262,6 +279,15 @@ def test_verify_zero_size_caps_exit_2(capsys, flag, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field} must be at least 1, got 0")
+
+
+def test_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["verify"])
+    assert VerifyOptions(**{f.name: getattr(args, f.name) for f in fields(VerifyOptions)}) == (
+        VerifyOptions()
+    )
+    args = build_parser().parse_args(["walks", "g.json", "--from", "v1", "--to", "v2", "--n", "2"])
+    assert EnumerationLimits(args.max_incidences, args.max_walks) == DEFAULT_LIMITS
 
 
 def test_usage_error_exits_2():

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from ohmatrix import (
     Incidence,
+    LabeledIntegerMatrix,
     OrientedHypergraph,
+    OrientedSignedGraph,
     SwitchingFunction,
     adjacency_matrix,
     incidence_dual,
@@ -32,6 +34,31 @@ class TestIncidence:
     def test_rejects_nonpositive_mult_index(self):
         with pytest.raises(ValueError, match="mult_index"):
             Incidence("v1", "e1", 0, 1)
+
+
+# A bool compares equal to 1, so a check of value alone lets True through;
+# the serializers would then write true or True, which the parsers reject.
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Incidence("v1", "e1", 1, True), ValueError, "incidence sign"),
+        (lambda: Incidence("v1", "e1", True, 1), ValueError, "mult_index"),
+        (lambda: SwitchingFunction({"v1": True}), ValueError, "switching values"),
+        (lambda: LabeledIntegerMatrix(("v1",), ("v1",), ((True,),)), TypeError, "integers"),
+        (
+            lambda: OrientedSignedGraph(
+                ("v1", "v2"), ("e1",), {"e1": ("v1", "v2")},
+                {("v1", "e1"): True, ("v2", "e1"): 1},
+            ),
+            ValueError,
+            "orientation value",
+        ),
+    ],
+    ids=["incidence-sign", "mult-index", "switching", "matrix-entry", "orientation"],
+)
+def test_constructors_refuse_bools(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestValidate:

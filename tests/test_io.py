@@ -96,6 +96,82 @@ class TestParseInstance:
         assert validate(g)
 
 
+def _edited(edit):
+    doc = json.loads(MINIMAL_DOC)
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "top level must be a JSON object"),
+        (
+            _edited(lambda d: d.update(incidences={})),
+            "incidences must be an array",
+        ),
+        (
+            _edited(lambda d: d["incidences"].__setitem__(0, 1)),
+            "incidences[0] must be an object",
+        ),
+        (
+            _edited(lambda d: d["incidences"][0].pop("k")),
+            "incidences[0] is missing fields: k",
+        ),
+        (
+            _edited(lambda d: d["incidences"][1].update(w="v2")),
+            "incidences[1] has unknown fields: w",
+        ),
+        (
+            _edited(lambda d: d["incidences"][0].update(v=1)),
+            "incidences[0].v must be a string, got 1",
+        ),
+        (
+            _edited(lambda d: d["incidences"][0].update(e=None)),
+            "incidences[0].e must be a string, got None",
+        ),
+        (
+            _edited(lambda d: d["incidences"][0].update(k=0)),
+            "incidences[0].k must be at least 1, got 0",
+        ),
+        (
+            _edited(lambda d: d["vertices"].append(2)),
+            "vertices[2] must be a string, got 2",
+        ),
+    ],
+    ids=["top-level", "incidences", "record", "missing", "unknown", "v", "e", "k", "vertices"],
+)
+def test_parse_instance_messages(text, message):
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "invalid JSON at line 1, column 2: "
+              "Expecting property name enclosed in double quotes"),
+        ('{"rows": [], "cols": [], "entries": {}}', "entries must be an array of arrays"),
+        ('{"rows": ["r"], "cols": ["c"], "entries": [3]}', "entries[0] must be an array"),
+    ],
+    ids=["syntax", "entries", "row"],
+)
+def test_parse_matrix_json_messages(text, message):
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_matrix(text, "json")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse", [parse_instance, lambda t: parse_matrix(t, "json"), parse_switching],
+    ids=["instance", "matrix", "switching"],
+)
+def test_deeply_nested_json_is_a_format_error(parse):
+    with pytest.raises(InstanceFormatError, match="nested too deeply"):
+        parse("[" * 200000)
+
+
 class TestSerializeInstance:
     def test_canonical_incidence_order(self):
         g = random_instance(5, 4, 3, 2, simple=True)

@@ -23,7 +23,7 @@ from helpers import path3, two_vertex_edge, uniform3_edge
 
 
 def loop_graph():
-    return OrientedSignedGraph.from_orientation(
+    return OrientedSignedGraph(
         ("v1",), ("e1",), {"e1": ("v1", "v1")}, {("v1", "e1"): 1}
     )
 
@@ -91,22 +91,30 @@ class TestToHypergraph:
 
 
 class TestOrientedSignedGraphValidation:
-    def test_signature_must_match_orientation(self):
-        with pytest.raises(ValueError, match="signature of edge 'e1'"):
-            OrientedSignedGraph(
-                ("v1", "v2"), ("e1",), {"e1": ("v1", "v2")},
-                {("v1", "e1"): 1, ("v2", "e1"): 1}, {"e1": 1},
-            )
+    @given(bidirected_instances())
+    @settings(max_examples=30)
+    def test_signature_is_derived_from_the_orientation(self, g):
+        # tau(v, e) is the incidence sign, so sigma(e) = -tau * tau is minus
+        # the product of the edge's two incidence signs.
+        expected = {}
+        for e in g.edges:
+            first, second = g.incidences_at_edge(e)
+            expected[e] = -first.sign * second.sign
+        s = from_hypergraph(g)
+        assert s.signature == expected
+        assert list(s.signature) == list(s.edges)
+
+    def test_loop_signature_is_negative(self):
+        assert loop_graph().signature == {"e1": -1}
 
     def test_orientation_domain_is_exact(self):
         with pytest.raises(ValueError, match="orientation"):
             OrientedSignedGraph(
-                ("v1", "v2"), ("e1",), {"e1": ("v1", "v2")},
-                {("v1", "e1"): 1}, {"e1": -1},
+                ("v1", "v2"), ("e1",), {"e1": ("v1", "v2")}, {("v1", "e1"): 1}
             )
 
     def test_endpoints_are_normalized_to_vertex_order(self):
-        s = OrientedSignedGraph.from_orientation(
+        s = OrientedSignedGraph(
             ("v1", "v2"), ("e1",), {"e1": ("v2", "v1")},
             {("v1", "e1"): 1, ("v2", "e1"): -1},
         )
@@ -138,7 +146,7 @@ class TestLineGraph:
     def test_rejects_loops_and_parallel_edges(self):
         with pytest.raises(ValueError, match="loop"):
             line_graph(loop_graph())
-        parallel = OrientedSignedGraph.from_orientation(
+        parallel = OrientedSignedGraph(
             ("v1", "v2"), ("e1", "e2"),
             {"e1": ("v1", "v2"), "e2": ("v1", "v2")},
             {("v1", "e1"): 1, ("v2", "e1"): 1, ("v1", "e2"): 1, ("v2", "e2"): -1},

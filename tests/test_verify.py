@@ -129,6 +129,25 @@ def test_failing_check_carries_counterexample_and_seed(monkeypatch):
     assert "  instance:\n" in text
 
 
+def test_relabeled_matrix_reports_the_differing_labels(monkeypatch):
+    real_laplacian = ohmatrix.verify.laplacian
+
+    def relabeled(g):
+        lap = real_laplacian(g)
+        rows = tuple(f"{label}'" for label in lap.row_labels)
+        return LabeledIntegerMatrix(rows, lap.col_labels, lap.entries)
+
+    monkeypatch.setattr(ohmatrix.verify, "laplacian", relabeled)
+    # Conjugating by a switching matrix needs L's labels to match, so no switching.
+    options = dataclasses.replace(FAST, switching_trials=0)
+    report = run_verify_suite(two_vertex_edge(), seed=0, options=options)
+    [result] = [r for r in report.failures if r.check_name == "laplacian_decomposition"]
+    assert result.counterexample.startswith(
+        "L and D - A have different labels: "
+        "(\"v1'\", \"v2'\")x('v1', 'v2') vs ('v1', 'v2')x('v1', 'v2')\n"
+    )
+
+
 def test_corrupted_adjacency_fails_the_laplacian_decomposition(monkeypatch):
     # L is built without A, so D - A from a wrong A must differ from it.
     real = ohmatrix.matrices.adjacency_matrix

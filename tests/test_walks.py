@@ -86,6 +86,11 @@ class TestWalkSign:
         w = Walk(("v1", "e1"), (Incidence("v1", "e1", 1, 1),))
         assert walk_sign(g, w) == 1
 
+    @pytest.mark.parametrize("anchors", [("v1",), ("v1", "e1", "v2")])
+    def test_walk_needs_one_more_anchor_than_incidences(self, anchors):
+        with pytest.raises(ValueError, match="exactly one more anchor than incidences"):
+            Walk(anchors, (Incidence("v1", "e1", 1, 1),))
+
 
 class TestEnumerateWalks:
     def test_single_adjacency(self):
