@@ -27,9 +27,8 @@ from .matrices import (
     switching_matrix,
 )
 from .walks import (
-    DEFAULT_LIMITS,
+    DEFAULT_MAX_WALKS,
     EnumerationLimitError,
-    EnumerationLimits,
     Walk,
     WalkCounts,
     backstep_count,
@@ -88,9 +87,8 @@ __all__ = [
     "incidence_matrix",
     "laplacian",
     "switching_matrix",
-    "DEFAULT_LIMITS",
+    "DEFAULT_MAX_WALKS",
     "EnumerationLimitError",
-    "EnumerationLimits",
     "Walk",
     "WalkCounts",
     "backstep_count",

@@ -24,10 +24,9 @@ from .matrices import (
 )
 from .signed import from_hypergraph, line_graph, to_hypergraph
 from .walks import (
-    DEFAULT_LIMITS,
+    DEFAULT_MAX_WALKS,
     INCIDENCE_CAP,
     EnumerationLimitError,
-    EnumerationLimits,
     enumerate_walks,
     walk_matrix,
     walk_sign,
@@ -95,8 +94,7 @@ def cmd_switch(args) -> int:
 
 def cmd_walks(args) -> int:
     g = _load_instance(args.instance)
-    limits = EnumerationLimits(max_incidences=args.max_incidences, max_walks=args.max_walks)
-    walks = enumerate_walks(g, args.src, args.dst, args.n, weak=args.weak, limits=limits)
+    walks = enumerate_walks(g, args.src, args.dst, args.n, args.weak, args.max_walks)
     signs = [walk_sign(g, w) for w in walks]
     positive = signs.count(1)
     doc = {
@@ -200,12 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_argument(p)
     p.add_argument("--from", dest="src", required=True, help="start anchor label")
     p.add_argument("--to", dest="dst", required=True, help="end anchor label")
-    p.add_argument("--n", type=int, required=True, help="incidence count (twice the length)")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"incidence count (twice the length, at most {INCIDENCE_CAP})")
     p.add_argument("--weak", action="store_true", help="allow immediate returns")
-    p.add_argument("--max-incidences", type=int, default=DEFAULT_LIMITS.max_incidences,
-                   help="ceiling on the incidence count "
-                   f"(default %(default)s, at most {INCIDENCE_CAP})")
-    p.add_argument("--max-walks", type=int, default=DEFAULT_LIMITS.max_walks,
+    p.add_argument("--max-walks", type=int, default=DEFAULT_MAX_WALKS,
                    help="ceiling on generated walks per search (default %(default)s)")
     p.set_defaults(func=cmd_walks)
 

@@ -148,6 +148,10 @@ class SwitchingFunction:
         if bad:
             raise ValueError(f"switching values must be +1 or -1, got {bad!r}")
 
+    def __hash__(self) -> int:
+        # Agrees with the generated __eq__, which compares the dicts.
+        return hash(frozenset(self.assignment.items()))
+
     def __call__(self, vertex: str) -> int:
         try:
             return self.assignment[vertex]

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -23,6 +24,9 @@ FORMAT_VERSION = 1
 
 _INSTANCE_FIELDS = ("format_version", "vertices", "edges", "incidences")
 _INCIDENCE_FIELDS = ("v", "e", "k", "sign")
+# A matrix CSV cell exactly as serialize_matrix writes it: no spaces, signs
+# other than a leading minus, underscores or non-ASCII digits.
+_CSV_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class InstanceFormatError(ValueError):
@@ -189,12 +193,11 @@ def parse_matrix(text: str, fmt: str = "csv") -> LabeledIntegerMatrix:
         row_labels.append(row[0])
         values = []
         for j, cell in enumerate(row[1:], start=1):
-            try:
-                values.append(int(cell))
-            except ValueError:
+            if not _CSV_INTEGER.fullmatch(cell):
                 raise InstanceFormatError(
                     f"line {lineno}, cell {j + 1}: {cell!r} is not an integer"
-                ) from None
+                )
+            values.append(int(cell))
         grid.append(tuple(values))
     try:
         return LabeledIntegerMatrix(tuple(row_labels), cols, grid)

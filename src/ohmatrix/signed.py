@@ -63,6 +63,11 @@ class OrientedSignedGraph:
                 raise ValueError(f"orientation value at {key} must be +1 or -1, got {t!r}")
         object.__setattr__(self, "orientation", dict(self.orientation))
 
+    def __hash__(self) -> int:
+        # Agrees with the generated __eq__, which compares the dicts.
+        return hash((self.vertices, self.edges, frozenset(self.endpoints.items()),
+                     frozenset(self.orientation.items())))
+
     @property
     def signature(self) -> dict[str, int]:
         """Edge signs sigma(e) = -tau(v, e) * tau(w, e), in edge order."""

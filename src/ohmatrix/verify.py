@@ -36,9 +36,8 @@ from .matrices import (
 )
 from .signed import from_hypergraph, line_graph, to_hypergraph, underlying_is_simple
 from .walks import (
-    DEFAULT_LIMITS,
+    DEFAULT_MAX_WALKS,
     INCIDENCE_CAP,
-    EnumerationLimits,
     EnumerationLimitError,
     oracle_walk_counts,
     oracle_walk_matrix,
@@ -61,10 +60,10 @@ class VerifyOptions:
     checked up to half that many steps) and may not exceed
     ``INCIDENCE_CAP``; the oracle's search recurses about n/2 deep.
     ``switching_trials`` random switchings are drawn per instance, and
-    each distinct one is checked once.  ``max_walks`` bounds the walks
-    generated by each oracle search, one per source anchor; a search that
-    would generate more cuts its trial short, and the report is
-    INCOMPLETE.  Negative counts raise ValueError, since they would pass
+    each distinct one is checked once.  ``max_walks`` is the one ceiling
+    of each oracle search (one per source anchor), on the walks it
+    generates; a search that would generate more cuts its trial short, and
+    the report is INCOMPLETE.  Negative counts raise ValueError, since they would pass
     checks that never ran, and so do size caps and walk ceilings below 1,
     which no random instance or search can meet.
     """
@@ -75,7 +74,7 @@ class VerifyOptions:
     max_edge_size: int = 4
     max_walk_incidences: int = 8
     switching_trials: int = 20
-    max_walks: int = DEFAULT_LIMITS.max_walks
+    max_walks: int = DEFAULT_MAX_WALKS
     self_test: bool = False
 
     def __post_init__(self) -> None:
@@ -164,7 +163,7 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
     of its checks.
     """
     simple = is_simple(g)
-    limits = EnumerationLimits(INCIDENCE_CAP, options.max_walks)
+    max_walks = options.max_walks
 
     h = incidence_matrix(g)
     ht = h.transpose()
@@ -194,18 +193,18 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
             "H^T * H", hth, f"{k}I - A of the dual", ki - a_dual
         )
 
-    half = oracle_walk_matrix(g, "V", "E", 1, limits=limits)
+    half = oracle_walk_matrix(g, "V", "E", 1, max_walks=max_walks)
     yield "half_walk_incidence", _matrix_diff("half-step walk matrix", half, "H", h)
     yield "half_walk_laplacian", _matrix_diff(
         "product of half-step walk matrices",
-        half @ oracle_walk_matrix(g, "E", "V", 1, limits=limits),
+        half @ oracle_walk_matrix(g, "E", "V", 1, max_walks=max_walks),
         "L", lap,
     )
 
     # One strict and one weak search per source vertex serve every check
     # on one-step walks below.
-    plus, minus = oracle_walk_counts(g, "V", "V", 2, limits=limits)
-    weak_plus, weak_minus = oracle_walk_counts(g, "V", "V", 2, weak=True, limits=limits)
+    plus, minus = oracle_walk_counts(g, "V", "V", 2, max_walks=max_walks)
+    weak_plus, weak_minus = oracle_walk_counts(g, "V", "V", 2, weak=True, max_walks=max_walks)
     weak_total = weak_plus + weak_minus
 
     oracle_diff = None
@@ -213,7 +212,9 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
     for k in range(options.max_walk_incidences // 2 + 1):
         if k:
             ak = ak @ a
-        counts = plus - minus if k == 1 else oracle_walk_matrix(g, "V", "V", 2 * k, limits=limits)
+        counts = plus - minus if k == 1 else oracle_walk_matrix(
+            g, "V", "V", 2 * k, max_walks=max_walks
+        )
         label = f"signed {k}-step walk counts"
         oracle_diff = _matrix_diff(f"A^{k}", ak, label, counts) or _matrix_diff(
             f"walk matrix at n={2 * k}", walk_matrix(g, "V", "V", 2 * k), label, counts

@@ -22,11 +22,13 @@ therefore always negative.
 
 Enumeration is exhaustive depth-first search, one level per pair step of
 two incidences, and is intended as a desk-scale oracle; it still generates
-every walk one by one.  Ceilings on the incidence count and on the number
-of generated walks keep runs bounded.  Walk matrices are computed in closed
-form instead, as products of one pair-step matrix (see :func:`walk_matrix`),
-with :func:`oracle_walk_matrix` as their brute-force reference;
-:func:`oracle_walk_counts` gives the same search's counts split by sign.
+every walk one by one.  One ceiling, ``max_walks`` on the walks a search
+generates, keeps each run bounded; a search refuses incidence counts above
+``INCIDENCE_CAP``, which keeps its recursion shallow.  Walk matrices are
+computed in closed form instead, as products of one pair-step matrix (see
+:func:`walk_matrix`), with :func:`oracle_walk_matrix` as their brute-force
+reference; :func:`oracle_walk_counts` gives the same search's counts split
+by sign.
 """
 
 from __future__ import annotations
@@ -39,40 +41,16 @@ from .matrices import LabeledIntegerMatrix, _one_steps, _pair_steps
 
 # Largest incidence count a walk search accepts.  The search recurses about
 # n/2 deep, once per pair step, so this stays well inside the interpreter's
-# default recursion limit of 1000 frames.
+# default recursion limit of 1000 frames.  It bounds only the depth; the
+# work is bounded by the search's ``max_walks``.
 INCIDENCE_CAP = 500
+
+# Default ceiling on the walks one search may generate.
+DEFAULT_MAX_WALKS = 1_000_000
 
 
 class EnumerationLimitError(RuntimeError):
-    """Raised when a walk search would exceed its configured ceilings."""
-
-
-@dataclass(frozen=True)
-class EnumerationLimits:
-    """Ceilings for a walk search.
-
-    ``max_incidences`` bounds the requested incidence count n, and may not
-    exceed ``INCIDENCE_CAP``, since the search recurses once per pair step;
-    ``max_walks`` bounds the number of walk sequences generated during one
-    search, counting every complete sequence regardless of its endpoint.
-    A ceiling below its least useful value (0 incidences, 1 walk) raises
-    ValueError, rather than failing every search later.
-    """
-
-    max_incidences: int = 12
-    max_walks: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        for name, least in (("max_incidences", 0), ("max_walks", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if self.max_incidences > INCIDENCE_CAP:
-            raise ValueError(
-                f"max_incidences must be at most {INCIDENCE_CAP}, got {self.max_incidences}"
-            )
-
-
-DEFAULT_LIMITS = EnumerationLimits()
+    """Raised when a walk search would generate more than ``max_walks`` walks."""
 
 
 @dataclass(frozen=True)
@@ -140,11 +118,11 @@ def _require_length(start_is_vertex: bool, end_is_vertex: bool, n: int) -> None:
         raise ValueError(f"walks between a vertex and an edge need an odd incidence count, got {n}")
 
 
-def _require_ceiling(n: int, limits: EnumerationLimits) -> None:
-    if n > limits.max_incidences:
-        raise EnumerationLimitError(
-            f"incidence count {n} exceeds the ceiling of {limits.max_incidences}"
-        )
+def _require_search(n: int, max_walks: int) -> None:
+    if max_walks < 1:
+        raise ValueError(f"max_walks must be at least 1, got {max_walks}")
+    if n > INCIDENCE_CAP:
+        raise ValueError(f"incidence count must be at most {INCIDENCE_CAP}, got {n}")
 
 
 def walk_sign(g: OrientedHypergraph, walk: Walk) -> int:
@@ -205,7 +183,7 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     return pairs, last
 
 
-def _search(plan, start: int, n: int, limits: EnumerationLimits, visit) -> None:
+def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
     """The one walk search: depth-first over every walk with ``n`` incidences
     from one anchor, in canonical order, whatever the endpoint.
 
@@ -213,11 +191,11 @@ def _search(plan, start: int, n: int, limits: EnumerationLimits, visit) -> None:
     and calls ``visit(idx, prefix, sign)`` once per anchor ``idx`` reached,
     where ``prefix`` (the live stack) and ``sign`` cover the interior steps;
     each entry of ``plan``'s last row at ``idx`` completes one walk.  Every
-    complete walk counts against ``limits.max_walks``, and they are taken
-    off the budget before ``visit`` runs.
+    complete walk counts against ``max_walks``, and they are taken off the
+    budget before ``visit`` runs.
     """
     pairs, last = plan
-    budget = [limits.max_walks]
+    budget = [max_walks]
     prefix: list[Incidence] = []
 
     def descend(idx: int, steps: int, sign: int) -> None:
@@ -231,7 +209,7 @@ def _search(plan, start: int, n: int, limits: EnumerationLimits, visit) -> None:
             budget[0] -= len(last[idx])
             if budget[0] < 0:
                 raise EnumerationLimitError(
-                    f"walk enumeration exceeded the ceiling of {limits.max_walks} walks"
+                    f"walk enumeration exceeded the ceiling of {max_walks} walks"
                 )
             visit(idx, prefix, sign)
 
@@ -244,16 +222,18 @@ def enumerate_walks(
     end: str,
     half_length_numerator: int,
     weak: bool = False,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
+    max_walks: int = DEFAULT_MAX_WALKS,
 ) -> list[Walk]:
     """Every walk from ``start`` to ``end`` with exactly the given incidence count.
 
     Walks come out in canonical order: lexicographic in the incidence
     sequence under the declared-order key (vertex, edge, mult_index).  The
     incidence count 0 yields the single trivial walk when start == end.
+    A search that would generate more than ``max_walks`` walks, whatever
+    their endpoint, raises :class:`EnumerationLimitError`.
     """
     n = half_length_numerator
-    _require_ceiling(n, limits)
+    _require_search(n, max_walks)
     start_is_vertex = _anchor_is_vertex(g, start)
     end_is_vertex = _anchor_is_vertex(g, end)
     _require_length(start_is_vertex, end_is_vertex, n)
@@ -270,7 +250,7 @@ def enumerate_walks(
                 walks.append(Walk(anchors, incs, weak))
 
     index = g.vertex_index if start_is_vertex else g.edge_index
-    _search(plan, index[start], n, limits, keep)
+    _search(plan, index[start], n, max_walks, keep)
     return walks
 
 
@@ -280,10 +260,10 @@ def walk_counts(
     end: str,
     half_length_numerator: int,
     weak: bool = False,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
+    max_walks: int = DEFAULT_MAX_WALKS,
 ) -> WalkCounts:
     """Totals of :func:`enumerate_walks` output classified by :func:`walk_sign`."""
-    walks = enumerate_walks(g, start, end, half_length_numerator, weak, limits)
+    walks = enumerate_walks(g, start, end, half_length_numerator, weak, max_walks)
     positive = sum(1 for w in walks if walk_sign(g, w) == 1)
     return WalkCounts(positive, len(walks) - positive)
 
@@ -309,18 +289,18 @@ def oracle_walk_counts(
     col_anchors: str,
     half_length_numerator: int,
     weak: bool = False,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
+    max_walks: int = DEFAULT_MAX_WALKS,
 ) -> tuple[LabeledIntegerMatrix, LabeledIntegerMatrix]:
     """Walk counts split by sign between two anchor families, by exhaustive search.
 
     One search per row anchor, each walk counted by its sign at its
     endpoint, and no matrix arithmetic.  Entry (a, b) of the two matrices
     is what :func:`walk_counts` gives as ``positive`` and ``negative`` for
-    the pair.  ``limits`` bounds each search.
+    the pair.  ``max_walks`` bounds each search.
     """
     n = half_length_numerator
     row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
-    _require_ceiling(n, limits)
+    _require_search(n, max_walks)
     plan = _plan(g, rows_vertex, n, weak)
     # Each last row split by sign once: a walk is then one counter increment.
     ends = [
@@ -339,7 +319,7 @@ def oracle_walk_counts(
             for end in flipped:
                 minus[end] += 1
 
-        _search(plan, start, n, limits, tally)
+        _search(plan, start, n, max_walks, tally)
         positive.append(plus)
         negative.append(minus)
     return (
@@ -354,7 +334,7 @@ def oracle_walk_matrix(
     col_anchors: str,
     half_length_numerator: int,
     weak: bool = False,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
+    max_walks: int = DEFAULT_MAX_WALKS,
 ) -> LabeledIntegerMatrix:
     """Signed net walk counts between two anchor families, by exhaustive search.
 
@@ -363,7 +343,7 @@ def oracle_walk_matrix(
     :func:`oracle_walk_counts`.
     """
     positive, negative = oracle_walk_counts(
-        g, row_anchors, col_anchors, half_length_numerator, weak, limits
+        g, row_anchors, col_anchors, half_length_numerator, weak, max_walks
     )
     return positive - negative
 

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from ohmatrix import (
-    DEFAULT_LIMITS,
-    EnumerationLimits,
+    DEFAULT_MAX_WALKS,
     VerifyOptions,
     parse_instance,
     random_instance,
@@ -201,8 +200,6 @@ def test_verify_negative_counts_exit_2(instance_file, capsys):
 @pytest.mark.parametrize("args, message", [
     (["walks", "--from", "v1", "--to", "v2", "--n", "2", "--max-walks", "-1"],
      "max_walks must be at least 1, got -1"),
-    (["walks", "--from", "v1", "--to", "v2", "--n", "2", "--max-incidences", "-1"],
-     "max_incidences must be at least 0, got -1"),
     (["verify", "--max-walks", "0"], "max_walks must be at least 1, got 0"),
 ])
 def test_ceilings_below_their_least_value_exit_2(instance_file, capsys, args, message):
@@ -245,14 +242,14 @@ def test_verify_zero_trials_exits_0(capsys):
     "args",
     [
         ["walk-matrix", "--rows", "V", "--cols", "V", "--n", "2000"],
-        ["walks", "--from", "v1", "--to", "v2", "--n", "2000", "--max-incidences", "5000"],
+        ["walks", "--from", "v1", "--to", "v2", "--n", "2000"],
         ["verify", "--max-walk-incidences", "3000"],
     ],
 )
 def test_deep_requests_succeed_or_exit_2(instance_file, capsys, args):
     # walk-matrix has no search to bound; a search deeper than the cap is
-    # refused up front, naming the field of the option that asked for it.
-    field = {"walk-matrix": None, "walks": "max_incidences", "verify": "max_walk_incidences"}
+    # refused up front, naming the incidence count or the option's field.
+    field = {"walk-matrix": None, "walks": "incidence count", "verify": "max_walk_incidences"}
     code = main([args[0], instance_file, *args[1:]])
     out, err = capsys.readouterr()
     assert "Traceback" not in err
@@ -262,6 +259,16 @@ def test_deep_requests_succeed_or_exit_2(instance_file, capsys, args):
     else:
         assert code == 2
         assert err.startswith(f"error: {field[args[0]]} must be at most 500, got ")
+
+
+def test_walks_beyond_twelve_incidences(tmp_path, capsys):
+    # The search is bounded by --max-walks alone: no incidence ceiling below
+    # the cap of 500 refuses this request, which yields only 8 walks.
+    path = tmp_path / "p3.json"
+    path.write_text(serialize_instance(path3()))
+    assert main(["walks", str(path), "--from", "v1", "--to", "v2", "--n", "14"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["counts"] == {"total": 8, "positive": 8, "negative": 0, "signed_net": 8}
 
 
 def test_walk_matrix_takes_no_ceiling_flags(instance_file, capsys):
@@ -287,7 +294,7 @@ def test_flag_defaults_are_the_library_defaults():
         VerifyOptions()
     )
     args = build_parser().parse_args(["walks", "g.json", "--from", "v1", "--to", "v2", "--n", "2"])
-    assert EnumerationLimits(args.max_incidences, args.max_walks) == DEFAULT_LIMITS
+    assert args.max_walks == DEFAULT_MAX_WALKS
 
 
 def test_usage_error_exits_2():

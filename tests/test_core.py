@@ -189,6 +189,12 @@ class TestSwitch:
         with pytest.raises(ValueError, match="values"):
             SwitchingFunction({"v1": 0})
 
+    def test_equal_switchings_hash_equal(self):
+        a = SwitchingFunction({"v1": 1, "v2": -1})
+        b = SwitchingFunction({"v2": -1, "v1": 1})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, SwitchingFunction({"v1": -1, "v2": -1})}) == 2
+
     @given(instances(), st.integers(0, 2**32))
     def test_involution(self, g, seed):
         theta = random_switching(seed, g.vertices)

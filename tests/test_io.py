@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,13 @@ class TestMatrixSerialization:
             parse_matrix(",v1\nv1,abc\n")
         with pytest.raises(InstanceFormatError, match="cells"):
             parse_matrix(",v1\nv1,1,2\n")
+
+    @pytest.mark.parametrize("cell", [" 1_0", "1_0", " 1", "1 ", "+1", "١"])
+    def test_csv_cells_are_what_the_serializer_writes(self, cell):
+        # int() accepts each of these; serialize_matrix never writes them.
+        message = f"line 2, cell 2: {cell!r} is not an integer"
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            parse_matrix(f",c\nr,{cell}\n")
 
     def test_json_round_trip(self):
         m = adjacency_matrix(two_vertex_edge())

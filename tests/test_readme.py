@@ -1,7 +1,10 @@
 """The README's library quickstart runs as written, and its claims hold."""
 
+import argparse
 import re
 from pathlib import Path
+
+from ohmatrix.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +20,21 @@ def test_quickstart_block_runs_and_its_equality_comments_hold():
             assert eval(expr, namespace) == eval(claim, namespace), line
             claims.append((expr.strip(), claim.strip()))
     assert ('adjacency_matrix(g).power(3)', 'walk_matrix(g, "V", "V", 6)') in claims
+
+
+def test_command_line_flags_are_options_of_some_subcommand():
+    # From the "Command line" heading on, so the install section's pip flags
+    # are not read as ohmatrix options.
+    _, heading, text = README.read_text(encoding="utf-8").partition("\n## Command line\n")
+    assert heading
+    [subcommands] = [
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        flag for parser in subcommands.values()
+        for action in parser._actions for flag in action.option_strings
+    }
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert "--max-walks" in flags
+    assert flags <= options, sorted(flags - options)

@@ -21,7 +21,7 @@ def test_derive_goldens():
     assert "degrees from backsteps: {'v1': 2}" in proc.stdout
 
 
-def test_verify_sweep_beyond_the_enumerator_default_ceiling():
+def test_verify_sweep_at_fourteen_walk_incidences():
     proc = run_script("verify_sweep.py", "--seeds", "0", "--trials", "3",
                       "--max-walk-incidences", "14")
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -120,6 +120,19 @@ class TestOrientedSignedGraphValidation:
         )
         assert s.endpoints["e1"] == ("v1", "v2")
 
+    def test_equal_graphs_hash_equal(self):
+        def build(endpoints, orientation):
+            return OrientedSignedGraph(("v1", "v2", "v3"), ("e1", "e2"), endpoints, orientation)
+
+        a = build({"e1": ("v1", "v2"), "e2": ("v2", "v3")},
+                  {("v1", "e1"): 1, ("v2", "e1"): -1, ("v2", "e2"): 1, ("v3", "e2"): 1})
+        b = build({"e2": ("v3", "v2"), "e1": ("v1", "v2")},
+                  {("v3", "e2"): 1, ("v2", "e2"): 1, ("v2", "e1"): -1, ("v1", "e1"): 1})
+        assert a == b and hash(a) == hash(b)
+        c = build({"e1": ("v1", "v2"), "e2": ("v2", "v3")},
+                  {("v1", "e1"): 1, ("v2", "e1"): 1, ("v2", "e2"): 1, ("v3", "e2"): 1})
+        assert len({a, b, c}) == 2
+
 
 class TestLineGraph:
     def test_path_example(self):

@@ -246,8 +246,8 @@ def test_options_hold_one_field_per_verify_flag():
 
 
 def test_deep_oracle_runs_are_not_cut_by_a_second_ceiling():
-    # The oracle is bounded by max_walk_incidences alone: a request above the
-    # enumerator's default ceiling of 12 incidences still runs every check.
+    # The oracle's depth is bounded by max_walk_incidences alone, and its
+    # work by max_walks: 14 incidences still run every check.
     report = run_verify_suite(seed=0, options=VerifyOptions(trials=3, max_walk_incidences=14))
     assert report.complete, report.notes
     assert report.passed(), format_report(report)

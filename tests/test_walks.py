@@ -9,7 +9,6 @@ import ohmatrix.matrices
 import ohmatrix.walks
 from ohmatrix import (
     EnumerationLimitError,
-    EnumerationLimits,
     Incidence,
     LabeledIntegerMatrix,
     OrientedHypergraph,
@@ -132,29 +131,27 @@ class TestEnumerateWalks:
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_walks(two_vertex_edge(), "v1", "v1", -2)
 
-    def test_incidence_ceiling(self):
-        limits = EnumerationLimits(max_incidences=4)
-        with pytest.raises(EnumerationLimitError, match="ceiling"):
-            enumerate_walks(two_vertex_edge(), "v1", "v1", 6, limits=limits)
-
     def test_incidence_cap(self):
-        with pytest.raises(ValueError, match="max_incidences must be at most 500, got 501"):
-            EnumerationLimits(max_incidences=501)
-        limits = EnumerationLimits(max_incidences=500)
-        assert len(enumerate_walks(two_vertex_edge(), "v1", "v1", 500, limits=limits)) == 1
+        assert len(enumerate_walks(two_vertex_edge(), "v1", "v1", 500)) == 1
+        with pytest.raises(ValueError, match="^incidence count must be at most 500, got 502$"):
+            enumerate_walks(two_vertex_edge(), "v1", "v1", 502)
 
-    @pytest.mark.parametrize("field, value, least", [
-        ("max_incidences", -1, 0), ("max_walks", 0, 1), ("max_walks", -1, 1),
-    ])
-    def test_ceilings_below_their_least_value(self, field, value, least):
-        with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got {value}$"):
-            EnumerationLimits(**{field: value})
-        assert getattr(EnumerationLimits(**{field: least}), field) == least
+    def test_walk_ceiling_alone_bounds_the_deepest_search(self):
+        # A weak pair step on the two-vertex edge has two choices, so this
+        # search would generate 2**250 walks: only max_walks stops it.
+        with pytest.raises(EnumerationLimitError,
+                           match="^walk enumeration exceeded the ceiling of 1000 walks$"):
+            enumerate_walks(two_vertex_edge(), "v1", "v1", 500, weak=True, max_walks=1000)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_ceilings_below_their_least_value(self, value):
+        with pytest.raises(ValueError, match=f"^max_walks must be at least 1, got {value}$"):
+            enumerate_walks(two_vertex_edge(), "v1", "v1", 2, max_walks=value)
+        assert len(enumerate_walks(two_vertex_edge(), "v1", "v2", 2, max_walks=1)) == 1
 
     def test_walk_count_ceiling(self):
-        limits = EnumerationLimits(max_walks=1)
         with pytest.raises(EnumerationLimitError, match="exceeded"):
-            enumerate_walks(uniform3_edge(), "v1", "v2", 2, limits=limits)
+            enumerate_walks(uniform3_edge(), "v1", "v2", 2, max_walks=1)
 
     def test_canonical_order(self):
         g = OrientedHypergraph(
@@ -342,11 +339,10 @@ class TestClosedForm:
             assert closed(g, rows, cols, n) == oracle
 
     def test_oracle_keeps_its_ceilings(self):
-        with pytest.raises(EnumerationLimitError, match="exceeds the ceiling"):
-            oracle_walk_matrix(two_vertex_edge(), "V", "V", 14)
+        with pytest.raises(ValueError, match="^incidence count must be at most 500, got 502$"):
+            oracle_walk_matrix(two_vertex_edge(), "V", "V", 502)
         with pytest.raises(EnumerationLimitError, match="exceeded"):
-            oracle_walk_matrix(uniform3_edge(), "V", "V", 2,
-                               limits=EnumerationLimits(max_walks=1))
+            oracle_walk_matrix(uniform3_edge(), "V", "V", 2, max_walks=1)
 
 
 class TestOracleWalkCounts:
@@ -554,15 +550,13 @@ class TestSearch:
                 total = sum(len(enumerate_walks(g, start, end, n, weak)) for end in ends)
                 if total < 2:
                     continue
-                exact = EnumerationLimits(max_walks=total)
-                below = EnumerationLimits(max_walks=total - 1)
-                enumerate_walks(g, start, ends[0], n, weak, exact)
+                enumerate_walks(g, start, ends[0], n, weak, max_walks=total)
                 with pytest.raises(EnumerationLimitError, match=f"ceiling of {total - 1} walks"):
-                    enumerate_walks(g, start, ends[0], n, weak, below)
+                    enumerate_walks(g, start, ends[0], n, weak, max_walks=total - 1)
             cols = "V" if n % 2 == 0 else "E"
             positive, negative = oracle_walk_counts(g, "V", cols, n, weak)
             most = max(map(sum, (positive + negative).entries))
-            oracle_walk_counts(g, "V", cols, n, weak, EnumerationLimits(max_walks=most))
+            oracle_walk_counts(g, "V", cols, n, weak, max_walks=most)
             if most > 1:
                 with pytest.raises(EnumerationLimitError, match="exceeded"):
-                    oracle_walk_counts(g, "V", cols, n, weak, EnumerationLimits(max_walks=most - 1))
+                    oracle_walk_counts(g, "V", cols, n, weak, max_walks=most - 1)
