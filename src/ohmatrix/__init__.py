@@ -38,7 +38,6 @@ from .walks import (
     walk_counts,
     walk_matrix,
     walk_sign,
-    weak_walk_matrix,
 )
 from .signed import (
     OrientedSignedGraph,
@@ -98,7 +97,6 @@ __all__ = [
     "walk_counts",
     "walk_matrix",
     "walk_sign",
-    "weak_walk_matrix",
     "OrientedSignedGraph",
     "from_hypergraph",
     "line_graph",

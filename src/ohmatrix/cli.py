@@ -30,7 +30,6 @@ from .walks import (
     enumerate_walks,
     walk_matrix,
     walk_sign,
-    weak_walk_matrix,
 )
 from .io import (
     parse_instance,
@@ -126,8 +125,7 @@ def cmd_walks(args) -> int:
 
 def cmd_walk_matrix(args) -> int:
     g = _load_instance(args.instance)
-    build = weak_walk_matrix if args.weak else walk_matrix
-    m = build(g, args.rows, args.cols, args.n)
+    m = walk_matrix(g, args.rows, args.cols, args.n, args.weak)
     print(serialize_matrix(m, args.format), end="")
     return 0
 
@@ -224,12 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--max-edge-size", type=int, default=3)
     p.add_argument("--min-edge-size", type=int, default=1)
-    p.add_argument("--non-simple", action="store_true",
-                   help="allow repeated incidences of one (vertex, edge) pair")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--non-simple", action="store_true",
+                      help="allow repeated incidences of one (vertex, edge) pair")
+    kind.add_argument("--bidirected", action="store_true",
+                      help="two distinct endpoints per edge, no repeated pairs")
     p.add_argument("--non-simple-rate", type=float, default=0.3,
                    help="per-slot duplication probability with --non-simple")
-    p.add_argument("--bidirected", action="store_true",
-                   help="two distinct endpoints per edge, no repeated pairs")
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("verify", help="run the identity verification suite")

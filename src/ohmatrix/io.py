@@ -117,13 +117,13 @@ def parse_instance(text: str, *, require_valid: bool = True) -> OrientedHypergra
 
 def serialize_instance(g: OrientedHypergraph) -> str:
     """Canonical instance document: incidences sorted by declared-order key."""
-    incs = sorted(g.incidences, key=g.incidence_sort_key)
     doc = {
         "format_version": FORMAT_VERSION,
         "vertices": list(g.vertices),
         "edges": list(g.edges),
         "incidences": [
-            {"v": i.vertex, "e": i.edge, "k": i.mult_index, "sign": i.sign} for i in incs
+            {"v": i.vertex, "e": i.edge, "k": i.mult_index, "sign": i.sign}
+            for i in g._canonical_incidences
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -173,8 +173,9 @@ def parse_matrix(text: str, fmt: str = "csv") -> LabeledIntegerMatrix:
             raise InstanceFormatError(str(exc)) from None
     if fmt != "csv":
         raise ValueError(f"unknown matrix format {fmt!r}")
-    lines = text.splitlines()
-    parsed = [next(csv.reader([line])) if line else [] for line in lines]
+    # Records end only at \n, \r or \r\n: a label may hold any other
+    # character str.splitlines() would break at (\v, \x85, \u2028, ...).
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
     if not parsed:
         return LabeledIntegerMatrix((), (), ())
     header = parsed[0]
@@ -275,7 +276,7 @@ def random_instance(
             mult[v] += 1
             incidences.append(Incidence(v, e, mult[v], rng.choice((1, -1))))
     g = OrientedHypergraph(vertices, edges, incidences)
-    g = OrientedHypergraph(vertices, edges, sorted(g.incidences, key=g.incidence_sort_key))
+    g = OrientedHypergraph(vertices, edges, g._canonical_incidences)
     problems = validate(g)
     if problems:
         raise RuntimeError("generator produced an invalid instance: " + "; ".join(problems))
@@ -311,4 +312,4 @@ def random_bidirected_instance(seed: int, n_vertices: int, n_edges: int) -> Orie
         incidences.append(Incidence(f"v{a}", e, 1, rng.choice((1, -1))))
         incidences.append(Incidence(f"v{b}", e, 1, rng.choice((1, -1))))
     g = OrientedHypergraph(vertices, edges, incidences)
-    return OrientedHypergraph(vertices, edges, sorted(g.incidences, key=g.incidence_sort_key))
+    return OrientedHypergraph(vertices, edges, g._canonical_incidences)

@@ -42,7 +42,6 @@ from .walks import (
     oracle_walk_counts,
     oracle_walk_matrix,
     walk_matrix,
-    weak_walk_matrix,
 )
 from .io import random_instance, serialize_instance
 
@@ -235,7 +234,7 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
         weak_counts = weak_plus - weak_minus
         label = "signed weak one-step walk counts"
         yield "weak_walk_laplacian", _matrix_diff("-L", -lap, label, weak_counts) or _matrix_diff(
-            "weak walk matrix at n=2", weak_walk_matrix(g, "V", "V", 2), label, weak_counts
+            "weak walk matrix at n=2", walk_matrix(g, "V", "V", 2, weak=True), label, weak_counts
         )
 
     def switching_diffs():

@@ -338,9 +338,8 @@ def oracle_walk_matrix(
 ) -> LabeledIntegerMatrix:
     """Signed net walk counts between two anchor families, by exhaustive search.
 
-    The brute-force reference for :func:`walk_matrix` and
-    :func:`weak_walk_matrix`: positive minus negative
-    :func:`oracle_walk_counts`.
+    The brute-force reference for :func:`walk_matrix` under both rules,
+    strict and ``weak``: positive minus negative :func:`oracle_walk_counts`.
     """
     positive, negative = oracle_walk_counts(
         g, row_anchors, col_anchors, half_length_numerator, weak, max_walks
@@ -348,11 +347,25 @@ def oracle_walk_matrix(
     return positive - negative
 
 
-def _closed_form(
-    g: OrientedHypergraph, row_anchors: str, col_anchors: str, n: int, weak: bool
+def walk_matrix(
+    g: OrientedHypergraph,
+    row_anchors: str,
+    col_anchors: str,
+    half_length_numerator: int,
+    weak: bool = False,
 ) -> LabeledIntegerMatrix:
+    """Signed net walk counts between two anchor families ("V" or "E").
+
+    Entry (a, b) is the number of positive minus the number of negative
+    walks from a to b with the given incidence count.  Computed in closed
+    form, with no walk ceiling: ``W(V,V,2k) = A^k``, ``W(V,E,2k+1) = A^k H``,
+    ``W(E,V,2k+1) = A_dual^k H^T`` and ``W(E,E,2k) = A_dual^k``.  With
+    ``weak``, weak walks are counted instead: the same forms with ``A``
+    replaced by ``-H H^T`` and ``A_dual`` by ``-H^T H``.
+    """
     # Under the positional rule a walk is n // 2 independent pair steps, plus
     # one free incidence (an entry of H or H^T) when n is odd.
+    n = half_length_numerator
     row_labels, _, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
     result = None
     if n >= 2:
@@ -363,36 +376,6 @@ def _closed_form(
         tail = _one_steps(g, rows_vertex)
         result = tail if result is None else result @ tail
     return LabeledIntegerMatrix.identity(row_labels) if result is None else result
-
-
-def walk_matrix(
-    g: OrientedHypergraph,
-    row_anchors: str,
-    col_anchors: str,
-    half_length_numerator: int,
-) -> LabeledIntegerMatrix:
-    """Signed net walk counts between two anchor families ("V" or "E").
-
-    Entry (a, b) is the number of positive minus the number of negative
-    walks from a to b with the given incidence count.  Computed in closed
-    form, with no walk ceiling: ``W(V,V,2k) = A^k``, ``W(V,E,2k+1) = A^k H``,
-    ``W(E,V,2k+1) = A_dual^k H^T`` and ``W(E,E,2k) = A_dual^k``.
-    """
-    return _closed_form(g, row_anchors, col_anchors, half_length_numerator, False)
-
-
-def weak_walk_matrix(
-    g: OrientedHypergraph,
-    row_anchors: str,
-    col_anchors: str,
-    half_length_numerator: int,
-) -> LabeledIntegerMatrix:
-    """Signed net weak walk counts between two anchor families ("V" or "E").
-
-    The closed forms of :func:`walk_matrix` with ``A`` replaced by
-    ``-H H^T`` and ``A_dual`` by ``-H^T H``.
-    """
-    return _closed_form(g, row_anchors, col_anchors, half_length_numerator, True)
 
 
 def backstep_count(g: OrientedHypergraph, vertex: str) -> int:

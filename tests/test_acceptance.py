@@ -37,7 +37,6 @@ from ohmatrix import (
     walk_counts,
     walk_matrix,
     walk_sign,
-    weak_walk_matrix,
 )
 
 from helpers import double_incidence, path3, two_vertex_edge, uniform3_edge
@@ -107,7 +106,7 @@ def test_criterion_2_laplacian_identities():
             assert lap == h @ h.transpose(), serialize_instance(g)
             assert dual_laplacian(g) == h.transpose() @ h, serialize_instance(g)
             if is_simple(g):
-                assert weak_walk_matrix(g, "V", "V", 2) == -lap, serialize_instance(g)
+                assert walk_matrix(g, "V", "V", 2, weak=True) == -lap, serialize_instance(g)
                 for i, vi in enumerate(g.vertices):
                     for j, vj in enumerate(g.vertices):
                         weak_total = walk_counts(g, vi, vj, 2, weak=True).total
@@ -242,7 +241,7 @@ def test_criterion_9_golden_instances():
         assert degree_matrix(g).entries == ((1, 0), (0, 1))
         assert laplacian(g).entries == ((1, 1), (1, 1))
         assert dual_laplacian(g).entries == ((2,),)
-        assert weak_walk_matrix(g, "V", "V", 2).entries == ((-1, -1), (-1, -1))
+        assert walk_matrix(g, "V", "V", 2, weak=True).entries == ((-1, -1), (-1, -1))
 
         g = uniform3_edge()
         assert incidence_matrix(g).entries == ((1,), (1,), (1,))
@@ -275,5 +274,5 @@ def test_criterion_9_golden_instances():
         for g in (two_vertex_edge(), uniform3_edge(), double_incidence(), path3()):
             assert walk_matrix(g, "V", "E", 1) == incidence_matrix(g)
             assert walk_matrix(g, "V", "V", 2) == adjacency_matrix(g)
-            assert weak_walk_matrix(g, "V", "V", 2) == -laplacian(g)
+            assert walk_matrix(g, "V", "V", 2, weak=True) == -laplacian(g)
             assert all(backstep_count(g, v) == g.degree(v) for v in g.vertices)

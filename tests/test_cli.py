@@ -162,6 +162,15 @@ def test_random_bidirected(capsys):
     assert all(g.edge_size(e) == 2 for e in g.edges)
 
 
+def test_random_bidirected_refuses_non_simple(capsys):
+    # Bidirected instances never repeat a pair, so the two flags conflict.
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "--seed", "5", "--vertices", "4", "--edges", "3",
+              "--bidirected", "--non-simple"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_random_infeasible_is_input_error(capsys):
     args = ["random", "--seed", "1", "--vertices", "2", "--edges", "1", "--max-edge-size", "5"]
     assert main(args) == 2

@@ -197,8 +197,12 @@ class TestMatrixSerialization:
         assert serialize_matrix(LabeledIntegerMatrix((), ("c1",), ())) == ",c1\n"
         assert parse_matrix(",c1\n") == LabeledIntegerMatrix((), ("c1",), ())
 
-    def test_csv_quotes_awkward_labels(self):
-        m = LabeledIntegerMatrix(('ro"w',), ("co,l",), ((3,),))
+    @pytest.mark.parametrize(
+        "row, col",
+        [('ro"w', "co,l"), *((f"r{c}w", f"c{c}l") for c in "\v\f\x1c\x85\u2028\u2029")],
+    )
+    def test_csv_quotes_awkward_labels(self, row, col):
+        m = LabeledIntegerMatrix((row,), (col,), ((3,),))
         assert parse_matrix(serialize_matrix(m)) == m
 
     def test_csv_rejects_unusable_labels(self):

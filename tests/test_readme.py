@@ -1,12 +1,16 @@
 """The README's library quickstart runs as written, and its claims hold."""
 
 import argparse
+import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
 
+import ohmatrix
 from ohmatrix.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_quickstart_block_runs_and_its_equality_comments_hold():
@@ -38,3 +42,17 @@ def test_command_line_flags_are_options_of_some_subcommand():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
     assert "--max-walks" in flags
     assert flags <= options, sorted(flags - options)
+
+
+def test_backticked_api_names_exist():
+    # A backticked snake_case name must still name something: an attribute of
+    # the package or one of its modules, a verify option, or a test function.
+    text = README.read_text(encoding="utf-8")
+    names = {name for name in re.findall(r"`([a-z_][a-z0-9_]*)`", text) if "_" in name}
+    known = set(dir(ohmatrix)) | {f.name for f in fields(ohmatrix.VerifyOptions)}
+    for module in ("core", "matrices", "walks", "signed", "io", "verify", "cli"):
+        known |= set(dir(importlib.import_module(f"ohmatrix.{module}")))
+    for path in TESTS.rglob("*.py"):
+        known |= set(re.findall(r"^\s*def (test_\w+)", path.read_text(encoding="utf-8"), re.M))
+    assert "walk_matrix" in names
+    assert names <= known, sorted(names - known)

@@ -209,27 +209,35 @@ def test_walk_incidences_above_the_cap_are_rejected():
 
 
 @pytest.mark.parametrize(
-    "name, check",
+    "name, calls, check, spared",
     [
-        ("adjacency_matrix", "walk_oracle_power"),
-        ("walk_matrix", "walk_oracle_power"),
-        ("weak_walk_matrix", "weak_walk_laplacian"),
+        ("adjacency_matrix", "every", "walk_oracle_power", None),
+        ("walk_matrix", "every", "walk_oracle_power", None),
+        ("walk_matrix", "weak", "weak_walk_laplacian", "walk_oracle_power"),
+        ("walk_matrix", "strict", "walk_oracle_power", "weak_walk_laplacian"),
     ],
 )
-def test_walk_oracle_catches_an_off_by_one(monkeypatch, name, check):
+def test_walk_oracle_catches_an_off_by_one(monkeypatch, name, calls, check, spared):
     # The oracle is an exhaustive search that calls neither the builders
-    # nor the closed-form walk matrices, so corrupting either must show.
+    # nor the closed-form walk matrices, so corrupting either must show;
+    # corrupting one walk rule only must not fail the other rule's check.
     real = getattr(ohmatrix.verify, name)
 
     def off_by_one(*args, **kwargs):
         m = real(*args, **kwargs)
+        if calls != "every" and kwargs.get("weak", False) != (calls == "weak"):
+            return m
         rows = [list(row) for row in m.entries]
         rows[0][0] += 1
         return LabeledIntegerMatrix(m.row_labels, m.col_labels, rows)
 
     monkeypatch.setattr(ohmatrix.verify, name, off_by_one)
     report = run_verify_suite(path3(), seed=0, options=FAST)
-    assert check in {r.check_name for r in report.failures}
+    failed = {r.check_name for r in report.failures}
+    assert check in failed
+    if spared is not None:
+        assert spared in {r.check_name for r in report.results}
+        assert spared not in failed
 
 
 def test_zero_trials_is_an_empty_pass():

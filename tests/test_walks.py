@@ -28,7 +28,6 @@ from ohmatrix import (
     walk_counts,
     walk_matrix,
     walk_sign,
-    weak_walk_matrix,
 )
 
 from helpers import double_incidence, instances, path3, two_vertex_edge, uniform3_edge
@@ -273,7 +272,7 @@ class TestClosedForm:
         for rows, cols, odd in FAMILY_PAIRS:
             for n in range(odd, 8, 2):
                 assert walk_matrix(g, rows, cols, n) == oracle_walk_matrix(g, rows, cols, n)
-                assert weak_walk_matrix(g, rows, cols, n) == oracle_walk_matrix(
+                assert walk_matrix(g, rows, cols, n, weak=True) == oracle_walk_matrix(
                     g, rows, cols, n, weak=True
                 )
 
@@ -289,10 +288,10 @@ class TestClosedForm:
             assert walk_matrix(g, "V", "E", 2 * k + 1) == a.power(k) @ h
             assert walk_matrix(g, "E", "V", 2 * k + 1) == a_dual.power(k) @ ht
             assert walk_matrix(g, "E", "E", 2 * k) == a_dual.power(k)
-            assert weak_walk_matrix(g, "V", "V", 2 * k) == neg_l.power(k)
-            assert weak_walk_matrix(g, "V", "E", 2 * k + 1) == neg_l.power(k) @ h
-            assert weak_walk_matrix(g, "E", "V", 2 * k + 1) == neg_dual_l.power(k) @ ht
-            assert weak_walk_matrix(g, "E", "E", 2 * k) == neg_dual_l.power(k)
+            assert walk_matrix(g, "V", "V", 2 * k, weak=True) == neg_l.power(k)
+            assert walk_matrix(g, "V", "E", 2 * k + 1, weak=True) == neg_l.power(k) @ h
+            assert walk_matrix(g, "E", "V", 2 * k + 1, weak=True) == neg_dual_l.power(k) @ ht
+            assert walk_matrix(g, "E", "E", 2 * k, weak=True) == neg_dual_l.power(k)
 
     def test_no_walk_ceiling(self):
         g = two_vertex_edge()
@@ -301,7 +300,7 @@ class TestClosedForm:
 
     def test_negative_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            weak_walk_matrix(two_vertex_edge(), "V", "V", -2)
+            walk_matrix(two_vertex_edge(), "V", "V", -2, weak=True)
 
     @pytest.mark.parametrize("build", [
         lambda: OrientedHypergraph((), (), ()),
@@ -313,7 +312,7 @@ class TestClosedForm:
         g = build()
         for rows, cols, odd in FAMILY_PAIRS:
             for n in range(odd, 6, 2):
-                for m in (walk_matrix(g, rows, cols, n), weak_walk_matrix(g, rows, cols, n)):
+                for m in (walk_matrix(g, rows, cols, n, weak=weak) for weak in (False, True)):
                     rebuilt = LabeledIntegerMatrix(m.row_labels, m.col_labels, m.entries)
                     assert m == rebuilt and hash(m) == hash(rebuilt)
                     assert type(m.entries) is tuple
@@ -335,8 +334,7 @@ class TestClosedForm:
             for name in ("adjacency_matrix", "incidence_matrix", "laplacian"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         for (rows, cols, n, weak), oracle in expected.items():
-            closed = weak_walk_matrix if weak else walk_matrix
-            assert closed(g, rows, cols, n) == oracle
+            assert walk_matrix(g, rows, cols, n, weak=weak) == oracle
 
     def test_oracle_keeps_its_ceilings(self):
         with pytest.raises(ValueError, match="^incidence count must be at most 500, got 502$"):
@@ -374,13 +372,14 @@ class TestOracleWalkCounts:
 
 class TestWeakWalkMatrix:
     def test_two_vertex_example(self):
-        assert weak_walk_matrix(two_vertex_edge(), "V", "V", 2).entries == ((-1, -1), (-1, -1))
+        m = walk_matrix(two_vertex_edge(), "V", "V", 2, weak=True)
+        assert m.entries == ((-1, -1), (-1, -1))
 
     @given(instances())
     def test_one_step_weak_matrix_is_negative_laplacian(self, g):
         # Promised for simple instances; under the ordered-pair adjacency it
         # extends to repeated incidences, so assert it across the board.
-        assert weak_walk_matrix(g, "V", "V", 2) == -laplacian(g)
+        assert walk_matrix(g, "V", "V", 2, weak=True) == -laplacian(g)
 
     @given(instances())
     def test_degree_entries_from_weak_minus_strict_totals(self, g):
