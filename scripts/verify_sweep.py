@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Sweep the verification suite over several seeds and print a summary table."""
+"""Sweep the verification suite over several seeds and print a summary table.
+
+The secs column is each seed's wall time, to the millisecond.
+"""
 
 import argparse
 import sys
@@ -20,7 +23,7 @@ def main() -> int:
     options = VerifyOptions(
         trials=args.trials, max_walk_incidences=args.max_walk_incidences
     )
-    print(f"{'seed':>6} {'checks':>7} {'failed':>7} {'secs':>6}  status")
+    print(f"{'seed':>6} {'checks':>7} {'failed':>7} {'secs':>8}  status")
     worst = 0
     for seed in args.seeds:
         started = time.monotonic()
@@ -29,7 +32,7 @@ def main() -> int:
         status = "ok" if report.passed() else ("INCOMPLETE" if not report.complete else "FAILED")
         print(
             f"{seed:>6} {len(report.results):>7} {len(report.failures):>7} "
-            f"{elapsed:>6.1f}  {status}"
+            f"{elapsed:>8.3f}  {status}"
         )
         worst = max(worst, len(report.failures) + (0 if report.complete else 1))
     return 1 if worst else 0

@@ -137,19 +137,24 @@ def cmd_linegraph(args) -> int:
     return 0
 
 
+# The random generator's options that not every kind of instance reads.  They
+# default to absent, so one given where it does not apply is refused; an
+# absent one takes its default here.
+_RANDOM_DEFAULTS = {"max_edge_size": 3, "min_edge_size": 1, "non_simple_rate": 0.3}
+
+
 def cmd_random(args) -> int:
+    given = {name: value for name, value in vars(args).items() if name in _RANDOM_DEFAULTS}
+    if args.bidirected and given:
+        flag = "--" + next(iter(given)).replace("_", "-")
+        args.usage_error(f"argument {flag}: not allowed with argument --bidirected")
+    if "non_simple_rate" in given and not args.non_simple:
+        args.usage_error("argument --non-simple-rate: requires --non-simple")
     if args.bidirected:
         g = random_bidirected_instance(args.seed, args.vertices, args.edges)
     else:
-        g = random_instance(
-            args.seed,
-            args.vertices,
-            args.edges,
-            args.max_edge_size,
-            simple=not args.non_simple,
-            non_simple_rate=args.non_simple_rate,
-            min_edge_size=args.min_edge_size,
-        )
+        g = random_instance(args.seed, args.vertices, args.edges, simple=not args.non_simple,
+                            **{**_RANDOM_DEFAULTS, **given})
     print(serialize_instance(g), end="")
     return 0
 
@@ -220,16 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--max-edge-size", type=int, default=3)
-    p.add_argument("--min-edge-size", type=int, default=1)
+    p.add_argument("--max-edge-size", type=int, default=argparse.SUPPRESS,
+                   help="largest edge size, not with --bidirected (default 3)")
+    p.add_argument("--min-edge-size", type=int, default=argparse.SUPPRESS,
+                   help="smallest edge size, not with --bidirected (default 1)")
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--non-simple", action="store_true",
                       help="allow repeated incidences of one (vertex, edge) pair")
     kind.add_argument("--bidirected", action="store_true",
                       help="two distinct endpoints per edge, no repeated pairs")
-    p.add_argument("--non-simple-rate", type=float, default=0.3,
-                   help="per-slot duplication probability with --non-simple")
-    p.set_defaults(func=cmd_random)
+    p.add_argument("--non-simple-rate", type=float, default=argparse.SUPPRESS,
+                   help="per-slot duplication probability, only with --non-simple (default 0.3)")
+    p.set_defaults(func=cmd_random, usage_error=p.error)
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("instance", nargs="?", default=None,

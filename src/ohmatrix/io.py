@@ -130,7 +130,10 @@ def serialize_instance(g: OrientedHypergraph) -> str:
 
 
 def serialize_matrix(m: LabeledIntegerMatrix, fmt: str = "csv") -> str:
-    """Render a matrix as CSV (labels in the first row and column) or JSON."""
+    """Render a matrix as CSV (labels in the first row and column) or JSON.
+
+    CSV labels must be non-empty; one holding a line break is quoted.
+    """
     if fmt == "json":
         doc = {
             "rows": list(m.row_labels),
@@ -140,11 +143,14 @@ def serialize_matrix(m: LabeledIntegerMatrix, fmt: str = "csv") -> str:
         return json.dumps(doc, indent=2) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown matrix format {fmt!r}")
-    for label in (*m.row_labels, *m.col_labels):
-        if label == "" or "\n" in label or "\r" in label:
-            raise ValueError("CSV serialization needs non-empty labels without newlines")
+    labels = (*m.row_labels, *m.col_labels)
+    if "" in labels:
+        raise ValueError("CSV serialization needs non-empty labels")
+    # csv quotes a field holding the \n line terminator but not a lone \r,
+    # which parse_matrix would read as a line end: quote every label then.
+    quoting = csv.QUOTE_NONNUMERIC if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
     writer.writerow(["", *m.col_labels])
     for label, row in zip(m.row_labels, m.entries):
         writer.writerow([label, *row])
@@ -175,16 +181,23 @@ def parse_matrix(text: str, fmt: str = "csv") -> LabeledIntegerMatrix:
         raise ValueError(f"unknown matrix format {fmt!r}")
     # Records end only at \n, \r or \r\n: a label may hold any other
     # character str.splitlines() would break at (\v, \x85, \u2028, ...).
-    parsed = list(csv.reader(io.StringIO(text, newline="")))
-    if not parsed:
+    # A quoted label may span text lines, so each record keeps the line it
+    # starts on for the error messages.
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records = []
+    first = 1
+    for record in reader:
+        records.append((first, record))
+        first = reader.line_num + 1
+    if not records:
         return LabeledIntegerMatrix((), (), ())
-    header = parsed[0]
+    header = records[0][1]
     if header and header[0] != "":
         raise InstanceFormatError(f"matrix CSV corner cell must be empty, got {header[0]!r}")
     cols = tuple(header[1:])
     row_labels = []
     grid = []
-    for lineno, row in enumerate(parsed[1:], start=2):
+    for lineno, row in records[1:]:
         if not row:
             raise InstanceFormatError(f"blank row at line {lineno}")
         if len(row) != len(cols) + 1:

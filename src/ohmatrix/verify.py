@@ -6,7 +6,9 @@ reconstructions, most of them through the brute-force walk search
 source anchor, recursing once per pair step, about n/2 deep).
 ``VerifyOptions.max_walks`` bounds the walks each of those searches may
 generate; a trial whose search would exceed it is reported INCOMPLETE.
-Each distinct random switching drawn for an instance is checked once.
+Each distinct random switching drawn for an instance is checked once: the
+matrices of the switched instance against ``D^T A D``, ``D H`` and
+``D^T L D``, computed entrywise from the drawn signs without products.
 A failing check always carries a reproducible counterexample: the canonical
 serialization of the instance plus the first differing entries, and the
 seeds that regenerate it.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul, neg
 
 from .core import (
     Incidence,
@@ -32,7 +35,6 @@ from .matrices import (
     degree_matrix,
     incidence_matrix,
     laplacian,
-    switching_matrix,
 )
 from .signed import from_hypergraph, line_graph, to_hypergraph, underlying_is_simple
 from .walks import (
@@ -154,6 +156,25 @@ def _matrix_diff(
     return f"{left_name} differs from {right_name} at {shown}"
 
 
+def _conjugated(m: LabeledIntegerMatrix, signs: tuple[int, ...]) -> LabeledIntegerMatrix:
+    """``D^T M D`` for the diagonal matrix ``D`` of ``signs``, without products.
+
+    Entry (r, c) is ``signs[r] * M[r][c] * signs[c]``: each row is multiplied
+    entrywise by the signs, or by their negation where ``signs[r]`` is -1.
+    """
+    flipped = tuple(map(neg, signs))
+    rows = tuple(
+        tuple(map(mul, row, signs if s == 1 else flipped)) for s, row in zip(signs, m.entries)
+    )
+    return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
+
+
+def _row_signed(m: LabeledIntegerMatrix, signs: tuple[int, ...]) -> LabeledIntegerMatrix:
+    """``D M`` for the diagonal matrix ``D`` of ``signs``: rows negated where -1."""
+    rows = tuple(row if s == 1 else tuple(map(neg, row)) for s, row in zip(signs, m.entries))
+    return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
+
+
 def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: int):
     """Yield ``(check_name, None or mismatch text)`` for each applicable check.
 
@@ -248,12 +269,11 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
                 continue
             checked.add(values)
             theta = SwitchingFunction(dict(zip(g.vertices, values)))
-            dt = switching_matrix(theta, g.vertices)
             gs = switch(g, theta)
             for name, left, right in (
-                ("A", adjacency_matrix(gs), dt.transpose() @ a @ dt),
-                ("H", incidence_matrix(gs), dt @ h),
-                ("L", laplacian(gs), dt.transpose() @ lap @ dt),
+                ("A", adjacency_matrix(gs), _conjugated(a, values)),
+                ("H", incidence_matrix(gs), _row_signed(h, values)),
+                ("L", laplacian(gs), _conjugated(lap, values)),
             ):
                 diff = _matrix_diff(f"{name} after switching", left, f"conjugated {name}", right)
                 if diff is not None:

@@ -171,6 +171,35 @@ def test_random_bidirected_refuses_non_simple(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--bidirected", "--max-edge-size", "2"],
+     "argument --max-edge-size: not allowed with argument --bidirected"),
+    (["--bidirected", "--min-edge-size", "2"],
+     "argument --min-edge-size: not allowed with argument --bidirected"),
+    (["--bidirected", "--non-simple-rate", "0.9"],
+     "argument --non-simple-rate: not allowed with argument --bidirected"),
+    (["--non-simple-rate", "0.9"], "argument --non-simple-rate: requires --non-simple"),
+])
+def test_random_refuses_options_that_do_not_apply(capsys, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "--seed", "5", "--vertices", "4", "--edges", "3", *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(f"ohmatrix random: error: {message}")
+
+
+def test_random_defaults_apply_where_options_are_absent(capsys):
+    base = ["random", "--seed", "5", "--vertices", "6", "--edges", "4", "--non-simple"]
+    assert main(base) == 0
+    defaulted = capsys.readouterr().out
+    assert main([*base, "--max-edge-size", "3", "--min-edge-size", "1",
+                 "--non-simple-rate", "0.3"]) == 0
+    assert capsys.readouterr().out == defaulted == serialize_instance(
+        random_instance(5, 6, 4, 3, simple=False, non_simple_rate=0.3, min_edge_size=1)
+    )
+
+
 def test_random_infeasible_is_input_error(capsys):
     args = ["random", "--seed", "1", "--vertices", "2", "--edges", "1", "--max-edge-size", "5"]
     assert main(args) == 2

@@ -217,6 +217,22 @@ class TestMatrixSerialization:
         with pytest.raises(InstanceFormatError, match="cells"):
             parse_matrix(",v1\nv1,1,2\n")
 
+    @given(st.data())
+    def test_csv_round_trips_labels_with_line_breaks(self, data):
+        around = st.text('a," ', max_size=2)
+        label = st.tuples(around, st.sampled_from(["\n", "\r", "\r\n"]), around).map("".join)
+        labels = st.lists(label, unique=True, max_size=3)
+        rows, cols = data.draw(labels), data.draw(labels)
+        entries = tuple(tuple(data.draw(st.integers(-9, 9)) for _ in cols) for _ in rows)
+        m = LabeledIntegerMatrix(rows, cols, entries)
+        assert parse_matrix(serialize_matrix(m)) == m
+
+    def test_csv_error_names_the_text_line_after_a_two_line_label(self):
+        # The quoted label "r\ns" spans lines 2 and 3, so the bad record
+        # after it starts on text line 4, the third record.
+        with pytest.raises(InstanceFormatError, match=r"^line 4, cell 2: 'x' is not an integer$"):
+            parse_matrix(',c\n"r\ns",1\nt,x\n')
+
     @pytest.mark.parametrize("cell", [" 1_0", "1_0", " 1", "1 ", "+1", "١"])
     def test_csv_cells_are_what_the_serializer_writes(self, cell):
         # int() accepts each of these; serialize_matrix never writes them.

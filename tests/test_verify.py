@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ohmatrix.matrices
 import ohmatrix.verify
@@ -11,13 +13,19 @@ from ohmatrix import (
     Incidence,
     LabeledIntegerMatrix,
     OrientedHypergraph,
+    SwitchingFunction,
     VerifyOptions,
+    adjacency_matrix,
     format_report,
+    incidence_matrix,
+    laplacian,
     run_verify_suite,
     serialize_instance,
+    switching_matrix,
 )
+from ohmatrix.verify import _conjugated, _row_signed
 
-from helpers import double_incidence, path3, two_vertex_edge, uniform3_edge
+from helpers import double_incidence, instances, path3, two_vertex_edge, uniform3_edge
 
 FAST = VerifyOptions(trials=8, switching_trials=5)
 
@@ -138,7 +146,7 @@ def test_relabeled_matrix_reports_the_differing_labels(monkeypatch):
         return LabeledIntegerMatrix(rows, lap.col_labels, lap.entries)
 
     monkeypatch.setattr(ohmatrix.verify, "laplacian", relabeled)
-    # Conjugating by a switching matrix needs L's labels to match, so no switching.
+    # Only the label mismatch is under test, so no switching.
     options = dataclasses.replace(FAST, switching_trials=0)
     report = run_verify_suite(two_vertex_edge(), seed=0, options=options)
     [result] = [r for r in report.failures if r.check_name == "laplacian_decomposition"]
@@ -345,3 +353,40 @@ def test_corrupted_adjacency_fails_switching_at_the_first_differing_theta(monkey
         "[theta={'v1': -1, 'v2': 1, 'v3': 1}]\n"
         f"instance:\n{serialize_instance(g)}"
     )
+
+
+@given(st.data(), instances())
+def test_entrywise_conjugates_equal_the_matrix_products(data, g):
+    values = tuple(data.draw(st.lists(st.sampled_from((1, -1)),
+                                      min_size=len(g.vertices), max_size=len(g.vertices))))
+    d = switching_matrix(SwitchingFunction(dict(zip(g.vertices, values))), g.vertices)
+    for m in (adjacency_matrix(g), laplacian(g)):
+        assert _conjugated(m, values) == d.transpose() @ m @ d
+    h = incidence_matrix(g)
+    assert _row_signed(h, values) == d @ h
+
+
+def test_unswitched_graph_fails_switching_conjugation(monkeypatch):
+    # The left side must come from the switched graph: the right side alone
+    # cannot make the check pass.
+    monkeypatch.setattr(ohmatrix.verify, "switch", lambda g, theta: g)
+    report = run_verify_suite(seed=17, options=FAST)
+    failed = {r.check_name for r in report.failures}
+    assert failed == {"switching_conjugation"}, format_report(report)
+
+
+def test_switching_check_forms_no_matrix_products(monkeypatch):
+    products = []
+    real = LabeledIntegerMatrix.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(LabeledIntegerMatrix, "__matmul__", counted)
+    counts = []
+    for switching_trials in (20, 0):
+        products.clear()
+        run_verify_suite(seed=5, options=VerifyOptions(trials=10, switching_trials=switching_trials))
+        counts.append(len(products))
+    assert counts[0] == counts[1] > 0
