@@ -18,6 +18,7 @@ and ``L = H H^T`` compare independent computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .core import OrientedHypergraph, SwitchingFunction
@@ -76,8 +77,7 @@ class LabeledIntegerMatrix:
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "LabeledIntegerMatrix":
         labels = tuple(labels)
-        n = len(labels)
-        return cls(labels, labels, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls.diagonal(labels, [1] * len(labels))
 
     @classmethod
     def diagonal(cls, labels: Iterable[str], values: Sequence[int]) -> "LabeledIntegerMatrix":
@@ -109,31 +109,22 @@ class LabeledIntegerMatrix:
         rows = tuple(zip(*self.entries)) if self.entries else ((),) * len(self.col_labels)
         return LabeledIntegerMatrix._trusted(self.col_labels, self.row_labels, rows)
 
-    def _require_same_labels(self, other: "LabeledIntegerMatrix") -> None:
+    def _entrywise(self, other: "LabeledIntegerMatrix", op) -> "LabeledIntegerMatrix":
+        if not isinstance(other, LabeledIntegerMatrix):
+            return NotImplemented
         if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
             raise ValueError("matrix labels do not match")
+        rows = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
+        return LabeledIntegerMatrix._trusted(self.row_labels, self.col_labels, rows)
 
     def __add__(self, other: "LabeledIntegerMatrix") -> "LabeledIntegerMatrix":
-        if not isinstance(other, LabeledIntegerMatrix):
-            return NotImplemented
-        self._require_same_labels(other)
-        rows = tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)
-        )
-        return LabeledIntegerMatrix._trusted(self.row_labels, self.col_labels, rows)
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "LabeledIntegerMatrix") -> "LabeledIntegerMatrix":
-        if not isinstance(other, LabeledIntegerMatrix):
-            return NotImplemented
-        self._require_same_labels(other)
-        rows = tuple(
-            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)
-        )
-        return LabeledIntegerMatrix._trusted(self.row_labels, self.col_labels, rows)
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "LabeledIntegerMatrix":
-        rows = tuple(tuple(-a for a in row) for row in self.entries)
-        return LabeledIntegerMatrix._trusted(self.row_labels, self.col_labels, rows)
+        return _signed(self, (-1,) * len(self.row_labels))
 
     def __matmul__(self, other: "LabeledIntegerMatrix") -> "LabeledIntegerMatrix":
         if not isinstance(other, LabeledIntegerMatrix):
@@ -184,6 +175,27 @@ def _one_steps(g: OrientedHypergraph, vertex_rows: bool) -> LabeledIntegerMatrix
         for other, sign, _ in steps:
             row[other] += sign
     return LabeledIntegerMatrix(rows, cols, acc)
+
+
+def _signed(
+    m: LabeledIntegerMatrix,
+    row_signs: Sequence[int],
+    col_signs: Sequence[int] | None = None,
+) -> LabeledIntegerMatrix:
+    # D_r M D_c for the diagonal +1/-1 matrices of the signs, without
+    # products: row r is negated where its sign is -1, then multiplied
+    # entrywise by the column signs.  Without column signs, D_r M.
+    if col_signs is None:
+        rows = tuple(
+            row if s == 1 else tuple(map(neg, row)) for s, row in zip(row_signs, m.entries)
+        )
+    else:
+        flipped = tuple(map(neg, col_signs))
+        rows = tuple(
+            tuple(map(mul, row, col_signs if s == 1 else flipped))
+            for s, row in zip(row_signs, m.entries)
+        )
+    return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
 
 
 def _pair_steps(g: OrientedHypergraph, vertex_rows: bool, weak: bool) -> LabeledIntegerMatrix:

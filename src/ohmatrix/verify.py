@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import mul, neg
 
 from .core import (
     Incidence,
@@ -31,6 +30,7 @@ from .core import (
 )
 from .matrices import (
     LabeledIntegerMatrix,
+    _signed,
     adjacency_matrix,
     degree_matrix,
     incidence_matrix,
@@ -156,25 +156,6 @@ def _matrix_diff(
     return f"{left_name} differs from {right_name} at {shown}"
 
 
-def _conjugated(m: LabeledIntegerMatrix, signs: tuple[int, ...]) -> LabeledIntegerMatrix:
-    """``D^T M D`` for the diagonal matrix ``D`` of ``signs``, without products.
-
-    Entry (r, c) is ``signs[r] * M[r][c] * signs[c]``: each row is multiplied
-    entrywise by the signs, or by their negation where ``signs[r]`` is -1.
-    """
-    flipped = tuple(map(neg, signs))
-    rows = tuple(
-        tuple(map(mul, row, signs if s == 1 else flipped)) for s, row in zip(signs, m.entries)
-    )
-    return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
-
-
-def _row_signed(m: LabeledIntegerMatrix, signs: tuple[int, ...]) -> LabeledIntegerMatrix:
-    """``D M`` for the diagonal matrix ``D`` of ``signs``: rows negated where -1."""
-    rows = tuple(row if s == 1 else tuple(map(neg, row)) for s, row in zip(signs, m.entries))
-    return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
-
-
 def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: int):
     """Yield ``(check_name, None or mismatch text)`` for each applicable check.
 
@@ -271,9 +252,9 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
             theta = SwitchingFunction(dict(zip(g.vertices, values)))
             gs = switch(g, theta)
             for name, left, right in (
-                ("A", adjacency_matrix(gs), _conjugated(a, values)),
-                ("H", incidence_matrix(gs), _row_signed(h, values)),
-                ("L", laplacian(gs), _conjugated(lap, values)),
+                ("A", adjacency_matrix(gs), _signed(a, values, values)),
+                ("H", incidence_matrix(gs), _signed(h, values)),
+                ("L", laplacian(gs), _signed(lap, values, values)),
             ):
                 diff = _matrix_diff(f"{name} after switching", left, f"conjugated {name}", right)
                 if diff is not None:

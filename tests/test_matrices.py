@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,20 @@ from ohmatrix import (
 )
 
 from helpers import double_incidence, instances, two_vertex_edge, uniform3_edge
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ohmatrix"
+
+
+def test_only_the_matrices_module_skips_validation():
+    # Matrices built without validation, and so the row storage they assume,
+    # are known to matrices.py alone.
+    users = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "_trusted" in (getattr(node, "attr", None), getattr(node, "id", None),
+                              getattr(node, "name", None)):
+                users.add(path.name)
+    assert users == {"matrices.py"}
 
 
 class TestLabeledIntegerMatrix:

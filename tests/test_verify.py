@@ -23,7 +23,7 @@ from ohmatrix import (
     serialize_instance,
     switching_matrix,
 )
-from ohmatrix.verify import _conjugated, _row_signed
+from ohmatrix.matrices import _signed
 
 from helpers import double_incidence, instances, path3, two_vertex_edge, uniform3_edge
 
@@ -361,9 +361,9 @@ def test_entrywise_conjugates_equal_the_matrix_products(data, g):
                                       min_size=len(g.vertices), max_size=len(g.vertices))))
     d = switching_matrix(SwitchingFunction(dict(zip(g.vertices, values))), g.vertices)
     for m in (adjacency_matrix(g), laplacian(g)):
-        assert _conjugated(m, values) == d.transpose() @ m @ d
+        assert _signed(m, values, values) == d.transpose() @ m @ d
     h = incidence_matrix(g)
-    assert _row_signed(h, values) == d @ h
+    assert _signed(h, values) == d @ h
 
 
 def test_unswitched_graph_fails_switching_conjugation(monkeypatch):
