@@ -18,6 +18,7 @@ and ``L = H H^T`` compare independent computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -109,6 +110,12 @@ class LabeledIntegerMatrix:
         rows = tuple(zip(*self.entries)) if self.entries else ((),) * len(self.col_labels)
         return LabeledIntegerMatrix._trusted(self.col_labels, self.row_labels, rows)
 
+    @cached_property
+    def _nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # Each row's nonzero (column, value) pairs, derived once per matrix
+        # for the products that take it as their right factor.
+        return tuple(tuple((j, b) for j, b in enumerate(row) if b) for row in self.entries)
+
     def _entrywise(self, other: "LabeledIntegerMatrix", op) -> "LabeledIntegerMatrix":
         if not isinstance(other, LabeledIntegerMatrix):
             return NotImplemented
@@ -134,7 +141,7 @@ class LabeledIntegerMatrix:
         # Gustavson's row-by-row product: row i of the result is the sum of
         # a_ij times row j of other, over the nonzero a_ij and the nonzero
         # entries of that row only.
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        sparse_rows = other._nonzero_rows
         width = len(other.col_labels)
         rows = []
         for row in self.entries:

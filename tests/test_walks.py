@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -335,6 +336,25 @@ class TestClosedForm:
                 monkeypatch.setattr(module, name, refuse, raising=False)
         for (rows, cols, n, weak), oracle in expected.items():
             assert walk_matrix(g, rows, cols, n, weak=weak) == oracle
+
+    def test_scans_its_step_once(self, monkeypatch):
+        # The chain result @ step reads the step's nonzero rows n // 2 - 1
+        # times; they are derived on the first product only.
+        scanned = []
+        derive = LabeledIntegerMatrix._nonzero_rows.func
+
+        def counted(m):
+            scanned.append(m)
+            return derive(m)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(LabeledIntegerMatrix, "_nonzero_rows")
+        monkeypatch.setattr(LabeledIntegerMatrix, "_nonzero_rows", prop)
+        g = random_instance(5, 6, 6, 3)
+        w = walk_matrix(g, "V", "V", 8)
+        assert scanned == [adjacency_matrix(g)]
+        monkeypatch.undo()
+        assert w == adjacency_matrix(g).power(4)
 
     def test_oracle_keeps_its_ceilings(self):
         with pytest.raises(ValueError, match="^incidence count must be at most 500, got 502$"):
