@@ -182,13 +182,17 @@ def parse_matrix(text: str, fmt: str = "csv") -> LabeledIntegerMatrix:
     # Records end only at \n, \r or \r\n: a label may hold any other
     # character str.splitlines() would break at (\v, \x85, \u2028, ...).
     # A quoted label may span text lines, so each record keeps the line it
-    # starts on for the error messages.
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # starts on for the error messages.  Strict reading refuses a quote
+    # left open to the end of the text.
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     records = []
     first = 1
-    for record in reader:
-        records.append((first, record))
-        first = reader.line_num + 1
+    try:
+        for record in reader:
+            records.append((first, record))
+            first = reader.line_num + 1
+    except csv.Error as exc:
+        raise InstanceFormatError(f"record starting at line {first}: {exc}") from None
     if not records:
         return LabeledIntegerMatrix((), (), ())
     header = records[0][1]

@@ -76,6 +76,12 @@ class TestParseInstance:
         with pytest.raises(InstanceFormatError, match="undeclared vertex 'ghost'"):
             parse_instance(json.dumps(doc))
 
+    def test_vertices_must_be_an_array(self):
+        doc = json.loads(MINIMAL_DOC)
+        doc["vertices"] = "v1"
+        with pytest.raises(InstanceFormatError, match="^vertices must be an array of strings$"):
+            parse_instance(json.dumps(doc))
+
     def test_missing_and_unknown_fields(self):
         with pytest.raises(InstanceFormatError, match="missing required fields"):
             parse_instance("{}")
@@ -217,6 +223,13 @@ class TestMatrixSerialization:
         with pytest.raises(InstanceFormatError, match="cells"):
             parse_matrix(",v1\nv1,1,2\n")
 
+    def test_csv_empty_text_is_the_empty_matrix(self):
+        assert parse_matrix("") == LabeledIntegerMatrix((), (), ())
+
+    def test_csv_refuses_a_blank_row(self):
+        with pytest.raises(InstanceFormatError, match="^blank row at line 3$"):
+            parse_matrix(",c\nr,1\n\ns,2\n")
+
     @given(st.data())
     def test_csv_round_trips_labels_with_line_breaks(self, data):
         around = st.text('a," ', max_size=2)
@@ -232,6 +245,16 @@ class TestMatrixSerialization:
         # after it starts on text line 4, the third record.
         with pytest.raises(InstanceFormatError, match=r"^line 4, cell 2: 'x' is not an integer$"):
             parse_matrix(',c\n"r\ns",1\nt,x\n')
+
+    @pytest.mark.parametrize("text, line", [
+        (',"a\nr,1\ns,2\n', 1),
+        (',c\n"r\ns",1\nt,"x\n', 4),
+        (',"a"b\n', 1),
+    ])
+    def test_csv_refuses_a_malformed_quote_at_the_line_its_record_starts(self, text, line):
+        # Unclosed, the quoted field would run to the end of the text.
+        with pytest.raises(InstanceFormatError, match=f"^record starting at line {line}: "):
+            parse_matrix(text)
 
     @pytest.mark.parametrize("cell", [" 1_0", "1_0", " 1", "1 ", "+1", "١"])
     def test_csv_cells_are_what_the_serializer_writes(self, cell):

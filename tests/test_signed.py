@@ -113,6 +113,20 @@ class TestOrientedSignedGraphValidation:
                 ("v1", "v2"), ("e1",), {"e1": ("v1", "v2")}, {("v1", "e1"): 1}
             )
 
+    @pytest.mark.parametrize("vertices, edges, endpoints, message", [
+        (("v1", "v1"), ("e1",), {"e1": ("v1", "v1")}, "^duplicate vertex labels$"),
+        (("v1",), ("e1", "e1"), {"e1": ("v1", "v1")}, "^duplicate edge labels$"),
+        (("v1", "x"), ("x",), {"x": ("v1", "v1")}, "^vertex and edge labels must be disjoint$"),
+        (("v1",), ("e1", "e2"), {"e1": ("v1", "v1")},
+         "^endpoints must cover exactly the declared edges$"),
+        (("v1",), ("e1",), {"e1": ("v1", "v1"), "e2": ("v1", "v1")},
+         "^endpoints must cover exactly the declared edges$"),
+        (("v1",), ("e1",), {"e1": ("v1", "v9")}, "^edge 'e1' has an undeclared endpoint$"),
+    ])
+    def test_refuses_inconsistent_labels(self, vertices, edges, endpoints, message):
+        with pytest.raises(ValueError, match=message):
+            OrientedSignedGraph(vertices, edges, endpoints, {("v1", "e1"): 1})
+
     def test_endpoints_are_normalized_to_vertex_order(self):
         s = OrientedSignedGraph(
             ("v1", "v2"), ("e1",), {"e1": ("v2", "v1")},
