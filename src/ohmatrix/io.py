@@ -15,7 +15,7 @@ import json
 import random
 import re
 from collections import Counter
-from itertools import combinations
+from math import comb
 
 from .core import Incidence, OrientedHypergraph, SwitchingFunction, validate
 from .matrices import LabeledIntegerMatrix
@@ -281,13 +281,20 @@ def random_instance(
         if simple:
             members = rng.sample(vertices, size)
         else:
-            members = [rng.choice(vertices)]
-            while len(members) < size:
-                outside = [v for v in vertices if v not in members]
-                if outside and rng.random() >= non_simple_rate:
-                    members.append(rng.choice(outside))
+            # picks are member vertex indices; the j-th vertex outside the
+            # edge is j shifted past each taken index at or below it.
+            picks = [rng.randrange(n_vertices)]
+            while len(picks) < size:
+                taken = sorted(set(picks))
+                if len(taken) < n_vertices and rng.random() >= non_simple_rate:
+                    j = rng.randrange(n_vertices - len(taken))
+                    for t in taken:
+                        if t <= j:
+                            j += 1
+                    picks.append(j)
                 else:
-                    members.append(rng.choice(members))
+                    picks.append(rng.choice(picks))
+            members = [vertices[i] for i in picks]
         mult: Counter[str] = Counter()
         for v in members:
             mult[v] += 1
@@ -314,18 +321,26 @@ def random_bidirected_instance(seed: int, n_vertices: int, n_edges: int) -> Orie
     """
     if n_vertices < 0 or n_edges < 0:
         raise ValueError("vertex and edge counts must be nonnegative")
-    pairs = list(combinations(range(1, n_vertices + 1), 2))
-    if n_edges > len(pairs):
+    n_pairs = comb(n_vertices, 2)
+    if n_edges > n_pairs:
         raise ValueError(
             f"{n_edges} distinct edges do not fit on {n_vertices} vertices "
-            f"(at most {len(pairs)})"
+            f"(at most {n_pairs})"
         )
     rng = random.Random(seed)
-    chosen = sorted(rng.sample(pairs, n_edges))
+    # Sampling pair ranks draws what sampling the listed pairs would, without
+    # listing them.  Rank r is the r-th pair (a, b), a < b, in lexicographic
+    # order; the pairs led by a hold ranks [start, start + n_vertices - a).
+    ranks = sorted(rng.sample(range(n_pairs), n_edges))
     vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
     edges = tuple(f"e{j}" for j in range(1, n_edges + 1))
     incidences = []
-    for e, (a, b) in zip(edges, chosen):
+    a, start = 1, 0
+    for e, r in zip(edges, ranks):
+        while r >= start + n_vertices - a:
+            start += n_vertices - a
+            a += 1
+        b = a + 1 + r - start
         incidences.append(Incidence(f"v{a}", e, 1, rng.choice((1, -1))))
         incidences.append(Incidence(f"v{b}", e, 1, rng.choice((1, -1))))
     g = OrientedHypergraph(vertices, edges, incidences)

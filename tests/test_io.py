@@ -1,13 +1,19 @@
 import json
+import random
 import re
+import tracemalloc
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohmatrix import (
+    Incidence,
     InstanceFormatError,
     LabeledIntegerMatrix,
+    OrientedHypergraph,
     adjacency_matrix,
     is_k_uniform,
     is_simple,
@@ -296,6 +302,46 @@ class TestSwitchingSerialization:
             parse_switching("[1]")
 
 
+def _listed_random_instance(seed, n_vertices, n_edges, max_edge_size, non_simple_rate):
+    # The non-simple generator as it was when it listed the vertices outside
+    # the edge for every member slot: the reference for byte identity.
+    rng = random.Random(seed)
+    vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
+    edges = tuple(f"e{j}" for j in range(1, n_edges + 1))
+    incidences = []
+    for e in edges:
+        size = rng.randint(1, max_edge_size)
+        members = [rng.choice(vertices)]
+        while len(members) < size:
+            outside = [v for v in vertices if v not in members]
+            if outside and rng.random() >= non_simple_rate:
+                members.append(rng.choice(outside))
+            else:
+                members.append(rng.choice(members))
+        mult = Counter()
+        for v in members:
+            mult[v] += 1
+            incidences.append(Incidence(v, e, mult[v], rng.choice((1, -1))))
+    g = OrientedHypergraph(vertices, edges, incidences)
+    return OrientedHypergraph(vertices, edges, g._canonical_incidences)
+
+
+def _listed_bidirected_instance(seed, n_vertices, n_edges):
+    # The bidirected generator as it was when it sampled from the list of
+    # every vertex pair: the reference for byte identity.
+    pairs = list(combinations(range(1, n_vertices + 1), 2))
+    rng = random.Random(seed)
+    chosen = sorted(rng.sample(pairs, n_edges))
+    vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
+    edges = tuple(f"e{j}" for j in range(1, n_edges + 1))
+    incidences = []
+    for e, (a, b) in zip(edges, chosen):
+        incidences.append(Incidence(f"v{a}", e, 1, rng.choice((1, -1))))
+        incidences.append(Incidence(f"v{b}", e, 1, rng.choice((1, -1))))
+    g = OrientedHypergraph(vertices, edges, incidences)
+    return OrientedHypergraph(vertices, edges, g._canonical_incidences)
+
+
 class TestRandomInstance:
     def test_deterministic(self):
         a = random_instance(11, 5, 4, 3, simple=False, non_simple_rate=0.5)
@@ -322,6 +368,16 @@ class TestRandomInstance:
         )
         assert hits > 10
 
+    @pytest.mark.parametrize("n_vertices", [1, 2, 5, 30])
+    def test_non_simple_output_is_the_listing_generators(self, n_vertices):
+        for seed in range(30):
+            for size in (1, 3, 6):
+                for rate in (0.0, 0.3, 0.9):
+                    g = random_instance(seed, n_vertices, 6, size, simple=False,
+                                        non_simple_rate=rate)
+                    reference = _listed_random_instance(seed, n_vertices, 6, size, rate)
+                    assert serialize_instance(g) == serialize_instance(reference)
+
     def test_uniform_sizes_via_min_edge_size(self):
         g = random_instance(2, 6, 4, 3, simple=True, min_edge_size=3)
         assert is_k_uniform(g, 3)
@@ -347,6 +403,29 @@ class TestRandomBidirectedInstance:
 
     def test_deterministic(self):
         assert random_bidirected_instance(9, 5, 4) == random_bidirected_instance(9, 5, 4)
+
+    @pytest.mark.parametrize("n_vertices, edge_counts", [
+        *((v, range(v * (v - 1) // 2 + 1)) for v in (0, 1, 2, 3, 7, 9)),
+        (40, (1, 10, 100)),
+    ])
+    def test_output_is_the_listing_generators(self, n_vertices, edge_counts):
+        # random.sample draws from a set of picks or from a pool by the
+        # population size and k, so both ways are covered.
+        for seed in range(20):
+            for n_edges in edge_counts:
+                g = random_bidirected_instance(seed, n_vertices, n_edges)
+                reference = _listed_bidirected_instance(seed, n_vertices, n_edges)
+                assert serialize_instance(g) == serialize_instance(reference)
+
+    def test_memory_is_bounded_by_the_output(self):
+        # Listing the 1,999,000 vertex pairs peaked above 100 MB.
+        tracemalloc.start()
+        try:
+            random_bidirected_instance(0, 2000, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_rejects_too_many_edges(self):
         with pytest.raises(ValueError, match="at most 3"):
