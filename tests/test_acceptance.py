@@ -270,9 +270,14 @@ def test_criterion_9_golden_instances():
         assert lam.signature[lam.edges[0]] == 1
         assert adjacency_matrix(to_hypergraph(lam)).entries == ((0, 1), (1, 0))
 
-        # every golden matrix re-derives through the walk oracle
+        # every golden matrix re-derives through the walk oracle, and
+        # through the closed form
         for g in (two_vertex_edge(), uniform3_edge(), double_incidence(), path3()):
+            assert oracle_walk_matrix(g, "V", "E", 1) == incidence_matrix(g)
             assert walk_matrix(g, "V", "E", 1) == incidence_matrix(g)
+            assert oracle_walk_matrix(g, "V", "V", 2) == adjacency_matrix(g)
             assert walk_matrix(g, "V", "V", 2) == adjacency_matrix(g)
+            assert oracle_walk_matrix(g, "V", "V", 2, weak=True) == -laplacian(g)
             assert walk_matrix(g, "V", "V", 2, weak=True) == -laplacian(g)
+            assert oracle_walk_matrix(g, "E", "E", 2) == adjacency_matrix(incidence_dual(g))
             assert all(backstep_count(g, v) == g.degree(v) for v in g.vertices)
