@@ -5,10 +5,16 @@ equality is exact.  Matrix equality requires equal row labels, equal column
 labels, and equal entries.
 
 Storage is dense, but products skip zero terms: most factors here are
-mostly zero (the switching matrices are diagonal).  Validation happens once,
-at ``LabeledIntegerMatrix(...)`` and ``io.parse_matrix``; the results of
+mostly zero (the switching matrices are diagonal).  Each matrix derives its
+rows' nonzero ``(column, value)`` pairs once, in a cached view that every
+product taking it as the right factor reads.  Validation happens once, at
+``LabeledIntegerMatrix(...)`` and ``io.parse_matrix``; the results of
 arithmetic on validated matrices are built from their operands and are not
-validated again.
+validated again.  This module is the only one that loops over stored rows
+or builds a matrix without validating it: ``+`` and ``-`` share one
+entrywise kernel, and ``_signed`` gives ``D_r M D_c`` (or ``D_r M``) for
+diagonal +1/-1 sign matrices entry by entry, for unary minus and for the
+switching check in ``verify``.
 
 ``H``, ``A``, both Laplacians and the walk steps come from two constructions
 over the incidence tables, one-incidence and pair steps, so ``L = D - A``
