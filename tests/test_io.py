@@ -364,7 +364,7 @@ class TestRandomInstance:
         assert hits > 10
 
     @pytest.mark.parametrize("n_vertices", [1, 2, 5, 30])
-    def test_non_simple_output_is_the_listing_generators(self, n_vertices):
+    def test_non_simple_output_matches_the_listing_generator(self, n_vertices):
         for seed in range(30):
             for size in (1, 3, 6):
                 for rate in (0.0, 0.3, 0.9):
@@ -403,7 +403,7 @@ class TestRandomBidirectedInstance:
         *((v, range(v * (v - 1) // 2 + 1)) for v in (0, 1, 2, 3, 7, 9)),
         (40, (1, 10, 100)),
     ])
-    def test_output_is_the_listing_generators(self, n_vertices, edge_counts):
+    def test_output_matches_the_listing_generator(self, n_vertices, edge_counts):
         # random.sample draws from a set of picks or from a pool by the
         # population size and k, so both ways are covered.
         for seed in range(20):
