@@ -32,6 +32,7 @@ from .walks import (
     walk_sign,
 )
 from .io import (
+    _incidence_record,
     parse_instance,
     parse_switching,
     random_bidirected_instance,
@@ -110,10 +111,7 @@ def cmd_walks(args) -> int:
         "walks": [
             {
                 "anchors": list(w.anchors),
-                "incidences": [
-                    {"v": i.vertex, "e": i.edge, "k": i.mult_index, "sign": i.sign}
-                    for i in w.incidences
-                ],
+                "incidences": [_incidence_record(i) for i in w.incidences],
                 "sign": sign,
             }
             for w, sign in zip(walks, signs)

@@ -76,7 +76,7 @@ def parse_instance(text: str, *, require_valid: bool = True) -> OrientedHypergra
     if extra:
         raise InstanceFormatError(f"unknown fields: {', '.join(extra)}")
     version = doc["format_version"]
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InstanceFormatError(
             f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )
@@ -115,16 +115,18 @@ def parse_instance(text: str, *, require_valid: bool = True) -> OrientedHypergra
     return g
 
 
+def _incidence_record(i: Incidence) -> dict:
+    """One incidence as instance files and ``ohmatrix walks`` write it."""
+    return {"v": i.vertex, "e": i.edge, "k": i.mult_index, "sign": i.sign}
+
+
 def serialize_instance(g: OrientedHypergraph) -> str:
     """Canonical instance document: incidences sorted by declared-order key."""
     doc = {
         "format_version": FORMAT_VERSION,
         "vertices": list(g.vertices),
         "edges": list(g.edges),
-        "incidences": [
-            {"v": i.vertex, "e": i.edge, "k": i.mult_index, "sign": i.sign}
-            for i in g._canonical_incidences
-        ],
+        "incidences": [_incidence_record(i) for i in g._canonical_incidences],
     }
     return json.dumps(doc, indent=2) + "\n"
 

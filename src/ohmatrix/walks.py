@@ -213,7 +213,12 @@ def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
                 )
             visit(idx, prefix, sign)
 
-    descend(start, max(0, (n - 1) // 2), 1)
+    try:
+        descend(start, max(0, (n - 1) // 2), 1)
+    finally:
+        # descend holds itself in its closure; emptying that cell frees the
+        # search's tables now rather than at the next cyclic collection.
+        del descend
 
 
 def enumerate_walks(

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohmatrix import (
     DEFAULT_MAX_WALKS,
@@ -342,8 +347,60 @@ def test_usage_error_exits_2():
 
 
 def test_stdin_instance(monkeypatch, capsys):
-    import io as stdlib_io
-
-    monkeypatch.setattr("sys.stdin", stdlib_io.StringIO(serialize_instance(two_vertex_edge())))
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_instance(two_vertex_edge())))
     assert main(["matrix", "degree", "-"]) == 0
     assert capsys.readouterr().out == ",v1,v2\nv1,1,0\nv2,0,1\n"
+
+
+# FILE stands for the path of the mutated instance.
+_MUTATED_COMMANDS = (
+    ["validate", "FILE"],
+    ["matrix", "adjacency", "FILE"],
+    ["dual", "FILE"],
+    ["walk-matrix", "FILE", "--rows", "V", "--cols", "V", "--n", "2"],
+    ["walks", "FILE", "--from", "v1", "--to", "v1", "--n", "2"],
+    ["linegraph", "FILE"],
+    ["verify", "FILE", "--switching-trials", "2"],
+)
+
+# Each edit replaces, inserts or deletes a few bytes at some position; JSON
+# tokens among the bytes keep some mutants parseable, so they reach the
+# commands and not only the parser.
+_byte_edits = st.lists(
+    st.tuples(
+        st.sampled_from(("replace", "insert", "delete")),
+        st.integers(0, 10**6),
+        st.binary(min_size=1, max_size=3) | st.sampled_from(
+            (b"0", b"1", b"2", b"-", b"v", b"e", b"1.0", b"true", b"null", b'"', b"[]")
+        ),
+    ),
+    min_size=1, max_size=2,
+)
+
+
+# A small valid instance file, compact so that fewer edits land on whitespace.
+_MUTATED_BASE = json.dumps(json.loads(serialize_instance(path3())), separators=(",", ":"))
+
+
+@settings(max_examples=60)
+@given(_byte_edits)
+def test_mutated_instance_files_keep_the_exit_code_contract(edits):
+    # Every command exits 0, 1 or 2 on any bytes, and none lets an
+    # exception escape: in process, an escaping exception fails this test.
+    data = bytearray(_MUTATED_BASE.encode())
+    for op, pos, chunk in edits:
+        pos %= len(data) + 1
+        if op == "insert":
+            data[pos:pos] = chunk
+        else:
+            data[pos:pos + len(chunk)] = chunk if op == "replace" else b""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_bytes(bytes(data))
+        for command in _MUTATED_COMMANDS:
+            argv = [str(path) if arg == "FILE" else arg for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, bytes(data))
+            assert "Traceback" not in err.getvalue(), (argv, bytes(data))

@@ -91,10 +91,13 @@ class TestParseInstance:
             parse_instance(json.dumps(doc))
 
     def test_unsupported_version(self):
+        # A bool or a float equal to 1 is no integer version either.
         doc = json.loads(MINIMAL_DOC)
-        doc["format_version"] = 9
-        with pytest.raises(InstanceFormatError, match="format_version 9"):
-            parse_instance(json.dumps(doc))
+        for version, shown in ((9, "9"), (True, "True"), (1.0, "1.0")):
+            doc["format_version"] = version
+            with pytest.raises(InstanceFormatError,
+                               match=f"^unsupported format_version {shown}, expected 1$"):
+                parse_instance(json.dumps(doc))
 
     def test_lenient_mode_returns_invalid_instance(self):
         doc = json.loads(MINIMAL_DOC)

@@ -9,7 +9,8 @@ from pathlib import Path
 import ohmatrix
 from ohmatrix.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -56,3 +57,25 @@ def test_backticked_api_names_exist():
         known |= set(re.findall(r"^\s*def (test_\w+)", path.read_text(encoding="utf-8"), re.M))
     assert "walk_matrix" in names
     assert names <= known, sorted(names - known)
+
+
+def test_layout_block_lists_existing_paths_and_every_module():
+    # An unindented line names a path from the repository root; an indented
+    # one names a file inside the last unindented directory.
+    [block] = re.findall(r"\n## Layout\n\n```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    listed, parent = [], ""
+    for line in block.splitlines():
+        name = line.split()[0]
+        if line.startswith(" "):
+            listed.append(parent + name)
+        else:
+            listed.append(name)
+            parent = name
+    missing = [path for path in listed if not (ROOT / path).exists()]
+    assert not missing, missing
+    modules = {
+        path.relative_to(ROOT).as_posix() for path in (ROOT / "src" / "ohmatrix").glob("*.py")
+        if path.name != "__init__.py"
+    }
+    assert "src/ohmatrix/walks.py" in modules
+    assert modules <= set(listed), sorted(modules - set(listed))

@@ -14,13 +14,6 @@ def run_script(name, *args):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_derive_goldens():
-    proc = run_script("derive_goldens.py")
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert "== two-vertex edge ==" in proc.stdout
-    assert "degrees from backsteps: {'v1': 2}" in proc.stdout
-
-
 def test_verify_sweep_at_fourteen_walk_incidences():
     proc = run_script("verify_sweep.py", "--seeds", "0", "--trials", "3",
                       "--max-walk-incidences", "14")

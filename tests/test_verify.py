@@ -204,6 +204,18 @@ def test_negative_counts_are_rejected(name):
         VerifyOptions(**{name: -1})
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["trials", "max_vertices", "max_edges", "max_edge_size", "max_walk_incidences",
+     "switching_trials", "max_walks"],
+)
+@pytest.mark.parametrize("value, shown", [(True, "True"), (2.5, "2.5")])
+def test_counts_that_are_not_integers_are_rejected(name, value, shown):
+    # A bool would quietly count as 0 or 1, and a float fails later in range().
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
+        VerifyOptions(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["max_vertices", "max_edge_size", "max_walks"])
 def test_size_caps_below_one_are_rejected(name):
     with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
@@ -390,3 +402,20 @@ def test_switching_check_forms_no_matrix_products(monkeypatch):
         run_verify_suite(seed=5, options=VerifyOptions(trials=10, switching_trials=switching_trials))
         counts.append(len(products))
     assert counts[0] == counts[1] > 0
+
+
+def test_walk_oracle_check_forms_each_power_once(monkeypatch):
+    # walk_matrix(g, "V", "V", 2k) is the one A^k chain; verify forms no
+    # powers of A of its own.  On path3 the products are H^T H, H H^T, the
+    # half-step product, and 1 + 2 + 3 in the walk matrices at n = 4, 6, 8.
+    products = []
+    real = LabeledIntegerMatrix.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(LabeledIntegerMatrix, "__matmul__", counted)
+    report = run_verify_suite(path3(), seed=0, options=VerifyOptions(switching_trials=0))
+    assert report.passed()
+    assert len(products) == 9

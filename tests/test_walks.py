@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 
 import pytest
@@ -381,6 +382,20 @@ class TestOracleWalkCounts:
                         assert (positive.entries[i][j], negative.entries[i][j]) == (
                             counts.positive, counts.negative
                         )
+
+    def test_searches_leave_no_reference_cycles(self):
+        # Cyclic garbage waits for the collector, so its size would set the
+        # process's peak memory; a finished or cut-short search leaves none.
+        gc.collect()
+        gc.disable()
+        try:
+            oracle_walk_counts(path3(), "V", "V", 6)
+            enumerate_walks(path3(), "v1", "v2", 4)
+            with pytest.raises(EnumerationLimitError):
+                oracle_walk_counts(path3(), "V", "V", 6, max_walks=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @given(instances(max_vertices=5, max_edges=4), st.booleans())
     def test_signed_matrix_is_positive_minus_negative(self, g, weak):
