@@ -50,7 +50,6 @@ from .io import (
     FORMAT_VERSION,
     InstanceFormatError,
     parse_instance,
-    parse_matrix,
     parse_switching,
     random_bidirected_instance,
     random_instance,
@@ -105,7 +104,6 @@ __all__ = [
     "FORMAT_VERSION",
     "InstanceFormatError",
     "parse_instance",
-    "parse_matrix",
     "parse_switching",
     "random_bidirected_instance",
     "random_instance",

@@ -249,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--switching-trials", type=int, default=defaults.switching_trials)
     p.add_argument("--max-walks", type=int, default=defaults.max_walks,
                    help="ceiling on generated walks per search (default %(default)s)")
-    p.add_argument("--self-test", action="store_true",
-                   help="also check that the harness detects a corrupted matrix")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -259,6 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "instance", None) == []:
+        # Python 3.11's argparse drops a second "--" given as the instance path.
+        args.instance = "--"
     try:
         code = args.func(args)
         sys.stdout.flush()

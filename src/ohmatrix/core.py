@@ -17,6 +17,11 @@ from functools import cached_property
 from typing import Mapping
 
 
+def _require_int(value, name: str) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Incidence:
     """A signed meeting of a vertex and an edge.
@@ -207,6 +212,7 @@ def is_simple(g: OrientedHypergraph) -> bool:
 
 def is_k_uniform(g: OrientedHypergraph, k: int) -> bool:
     """True when every edge has exactly ``k`` incidences."""
+    _require_int(k, "uniformity parameter")
     if k < 1:
         raise ValueError(f"uniformity parameter must be a positive integer, got {k!r}")
     return all(g.edge_size(e) == k for e in g.edges)
@@ -214,6 +220,7 @@ def is_k_uniform(g: OrientedHypergraph, k: int) -> bool:
 
 def is_k_regular(g: OrientedHypergraph, k: int) -> bool:
     """True when every vertex has exactly ``k`` incidences."""
+    _require_int(k, "regularity parameter")
     if k < 0:
         raise ValueError(f"regularity parameter must be nonnegative, got {k!r}")
     return all(g.degree(v) == k for v in g.vertices)

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import random
-import re
 from collections import Counter
 from math import comb
 
@@ -24,13 +23,10 @@ FORMAT_VERSION = 1
 
 _INSTANCE_FIELDS = ("format_version", "vertices", "edges", "incidences")
 _INCIDENCE_FIELDS = ("v", "e", "k", "sign")
-# A matrix CSV cell exactly as serialize_matrix writes it: no spaces, signs
-# other than a leading minus, underscores or non-ASCII digits.
-_CSV_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class InstanceFormatError(ValueError):
-    """Raised for malformed instance, matrix, or switching documents."""
+    """Raised for malformed instance or switching documents."""
 
 
 def _load_json(text: str):
@@ -51,12 +47,6 @@ def _string_list(value, where: str) -> tuple[str, ...]:
         if not isinstance(item, str):
             raise InstanceFormatError(f"{where}[{i}] must be a string, got {item!r}")
     return tuple(value)
-
-
-def _int_field(value, where: str) -> int:
-    if type(value) is not int:
-        raise InstanceFormatError(f"{where} must be an integer, got {value!r}")
-    return value
 
 
 def parse_instance(text: str, *, require_valid: bool = True) -> OrientedHypergraph:
@@ -100,7 +90,9 @@ def parse_instance(text: str, *, require_valid: bool = True) -> OrientedHypergra
             raise InstanceFormatError(f"{where}.v must be a string, got {rec['v']!r}")
         if not isinstance(rec["e"], str):
             raise InstanceFormatError(f"{where}.e must be a string, got {rec['e']!r}")
-        k = _int_field(rec["k"], f"{where}.k")
+        k = rec["k"]
+        if type(k) is not int:
+            raise InstanceFormatError(f"{where}.k must be an integer, got {k!r}")
         if k < 1:
             raise InstanceFormatError(f"{where}.k must be at least 1, got {k}")
         sign = rec["sign"]
@@ -149,7 +141,7 @@ def serialize_matrix(m: LabeledIntegerMatrix, fmt: str = "csv") -> str:
     if "" in labels:
         raise ValueError("CSV serialization needs non-empty labels")
     # csv quotes a field holding the \n line terminator but not a lone \r,
-    # which parse_matrix would read as a line end: quote every label then.
+    # which a CSV reader may take for a line end: quote every label then.
     quoting = csv.QUOTE_NONNUMERIC if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
@@ -157,72 +149,6 @@ def serialize_matrix(m: LabeledIntegerMatrix, fmt: str = "csv") -> str:
     for label, row in zip(m.row_labels, m.entries):
         writer.writerow([label, *row])
     return buf.getvalue()
-
-
-def parse_matrix(text: str, fmt: str = "csv") -> LabeledIntegerMatrix:
-    """Inverse of :func:`serialize_matrix` for both formats."""
-    if fmt == "json":
-        doc = _load_json(text)
-        if not isinstance(doc, dict) or set(doc) != {"rows", "cols", "entries"}:
-            raise InstanceFormatError("matrix JSON needs exactly rows, cols, entries")
-        rows = _string_list(doc["rows"], "rows")
-        cols = _string_list(doc["cols"], "cols")
-        entries = doc["entries"]
-        if not isinstance(entries, list):
-            raise InstanceFormatError("entries must be an array of arrays")
-        grid = []
-        for i, row in enumerate(entries):
-            if not isinstance(row, list):
-                raise InstanceFormatError(f"entries[{i}] must be an array")
-            grid.append(tuple(_int_field(x, f"entries[{i}][{j}]") for j, x in enumerate(row)))
-        try:
-            return LabeledIntegerMatrix(rows, cols, grid)
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from None
-    if fmt != "csv":
-        raise ValueError(f"unknown matrix format {fmt!r}")
-    # Records end only at \n, \r or \r\n: a label may hold any other
-    # character str.splitlines() would break at (\v, \x85, \u2028, ...).
-    # A quoted label may span text lines, so each record keeps the line it
-    # starts on for the error messages.  Strict reading refuses a quote
-    # left open to the end of the text.
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
-    records = []
-    first = 1
-    try:
-        for record in reader:
-            records.append((first, record))
-            first = reader.line_num + 1
-    except csv.Error as exc:
-        raise InstanceFormatError(f"record starting at line {first}: {exc}") from None
-    if not records:
-        return LabeledIntegerMatrix((), (), ())
-    header = records[0][1]
-    if header and header[0] != "":
-        raise InstanceFormatError(f"matrix CSV corner cell must be empty, got {header[0]!r}")
-    cols = tuple(header[1:])
-    row_labels = []
-    grid = []
-    for lineno, row in records[1:]:
-        if not row:
-            raise InstanceFormatError(f"blank row at line {lineno}")
-        if len(row) != len(cols) + 1:
-            raise InstanceFormatError(
-                f"line {lineno} has {len(row)} cells, expected {len(cols) + 1}"
-            )
-        row_labels.append(row[0])
-        values = []
-        for j, cell in enumerate(row[1:], start=1):
-            if not _CSV_INTEGER.fullmatch(cell):
-                raise InstanceFormatError(
-                    f"line {lineno}, cell {j + 1}: {cell!r} is not an integer"
-                )
-            values.append(int(cell))
-        grid.append(tuple(values))
-    try:
-        return LabeledIntegerMatrix(tuple(row_labels), cols, grid)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
 
 
 def parse_switching(text: str) -> SwitchingFunction:

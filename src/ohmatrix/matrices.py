@@ -8,13 +8,13 @@ Storage is dense, but products skip zero terms: most factors here are
 mostly zero (the switching matrices are diagonal).  Each matrix derives its
 rows' nonzero ``(column, value)`` pairs once, in a cached view that every
 product taking it as the right factor reads.  Validation happens once, at
-``LabeledIntegerMatrix(...)`` and ``io.parse_matrix``; the results of
-arithmetic on validated matrices are built from their operands and are not
-validated again.  This module is the only one that loops over stored rows
-or builds a matrix without validating it: ``+`` and ``-`` share one
-entrywise kernel, and ``_signed`` gives ``D_r M D_c`` (or ``D_r M``) for
-diagonal +1/-1 sign matrices entry by entry, for unary minus and for the
-switching check in ``verify``.
+``LabeledIntegerMatrix(...)``; the results of arithmetic on validated
+matrices are built from their operands and are not validated again.  This
+module is the only one that loops over stored rows or builds a matrix
+without validating it: ``+`` and ``-`` share one entrywise kernel, and
+``_signed`` gives ``D_r M D_c`` (or ``D_r M``) for diagonal +1/-1 sign
+matrices entry by entry, for unary minus and for the switching check in
+``verify``.
 
 ``H``, ``A``, both Laplacians and the walk steps come from two constructions
 over the incidence tables, one-incidence and pair steps, so ``L = D - A``
@@ -28,17 +28,18 @@ from functools import cached_property
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
-from .core import OrientedHypergraph, SwitchingFunction
+from .core import OrientedHypergraph, SwitchingFunction, _require_int
 
 
 @dataclass(frozen=True)
 class LabeledIntegerMatrix:
     """Dense integer matrix whose rows and columns are label sequences.
 
-    Constructing one checks the labels, the shape and every entry.  The
-    arithmetic operators, ``transpose`` and ``power`` return matrices that
-    skip that check, since their labels and int entries come from operands
-    that already passed it; they compare and hash like validated ones.
+    Constructing one checks the labels, the shape and every entry; it is
+    where a matrix from outside data is validated.  The arithmetic
+    operators, ``transpose`` and ``power`` return matrices that skip that
+    check, since their labels and int entries come from operands that
+    already passed it; they compare and hash like validated ones.
     """
 
     row_labels: tuple[str, ...]
@@ -166,6 +167,7 @@ class LabeledIntegerMatrix:
         """
         if self.row_labels != self.col_labels:
             raise ValueError("matrix power needs equal row and column labels")
+        _require_int(k, "matrix power exponent")
         if k < 0:
             raise ValueError(f"matrix power needs a nonnegative exponent, got {k}")
         result, square = LabeledIntegerMatrix.identity(self.row_labels), self

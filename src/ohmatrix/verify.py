@@ -20,9 +20,9 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    Incidence,
     OrientedHypergraph,
     SwitchingFunction,
+    _require_int,
     incidence_dual,
     is_simple,
     switch,
@@ -77,15 +77,13 @@ class VerifyOptions:
     max_walk_incidences: int = 8
     switching_trials: int = 20
     max_walks: int = DEFAULT_MAX_WALKS
-    self_test: bool = False
 
     def __post_init__(self) -> None:
         for name, least in (("trials", 0), ("max_vertices", 1), ("max_edges", 0),
                             ("max_edge_size", 1), ("max_walk_incidences", 0),
                             ("switching_trials", 0), ("max_walks", 1)):
             value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_int(value, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.max_walk_incidences > INCIDENCE_CAP:
@@ -97,29 +95,37 @@ class VerifyOptions:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check on one instance; it passed exactly when it has no counterexample."""
+
     check_name: str
     instance_summary: str
-    status: str  # "pass" or "fail"
     counterexample: str | None = None
     seed: int | None = None
     trial: int | None = None
 
+    @property
+    def status(self) -> str:
+        return "pass" if self.counterexample is None else "fail"
+
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Canonically ordered check results plus a completeness flag.
+    """Canonically ordered check results plus notes on what was cut short.
 
-    ``complete`` is False when a resource ceiling cut some checks short;
-    ``notes`` then says where.
+    Each note names a trial that a resource ceiling cut short; the report
+    is ``complete`` when there are none.
     """
 
     results: tuple[CheckResult, ...]
-    complete: bool = True
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "results", tuple(self.results))
         object.__setattr__(self, "notes", tuple(self.notes))
+
+    @property
+    def complete(self) -> bool:
+        return not self.notes
 
     @property
     def failures(self) -> tuple[CheckResult, ...]:
@@ -288,28 +294,10 @@ def _instance_checks(
 ) -> list[CheckResult]:
     summary = _summary(g, trial)
     return [
-        CheckResult(name, summary, "pass" if diff is None else "fail",
-                    diff and f"{diff}\ninstance:\n{serialize_instance(g)}", seed, trial)
+        CheckResult(name, summary, diff and f"{diff}\ninstance:\n{serialize_instance(g)}",
+                    seed, trial)
         for name, diff in _identity_diffs(g, options, theta_seed)
     ]
-
-
-def _harness_self_test() -> CheckResult:
-    g = OrientedHypergraph(
-        ("v1", "v2"), ("e1",), (Incidence("v1", "e1", 1, 1), Incidence("v2", "e1", 1, 1))
-    )
-    lap = laplacian(g)
-    bumped = [list(row) for row in lap.entries]
-    bumped[0][0] += 1
-    corrupted = LabeledIntegerMatrix(lap.row_labels, lap.col_labels, bumped)
-    diff = _matrix_diff("corrupted L", corrupted, "D - A", degree_matrix(g) - adjacency_matrix(g))
-    detected = diff is not None and "(v1, v1)" in diff
-    return CheckResult(
-        "harness_self_test",
-        _summary(g),
-        "pass" if detected else "fail",
-        None if detected else "a corrupted Laplacian entry went undetected",
-    )
 
 
 def run_verify_suite(
@@ -327,7 +315,6 @@ def run_verify_suite(
     """
     results: list[CheckResult] = []
     notes: list[str] = []
-    complete = True
     master = random.Random(seed)
 
     if instance is not None:
@@ -355,15 +342,11 @@ def run_verify_suite(
         try:
             results.extend(_instance_checks(g, seed, trial, options, theta_seed))
         except EnumerationLimitError as exc:
-            complete = False
             where = "single instance" if trial is None else f"trial {trial}"
             notes.append(f"{where}: {exc}")
 
-    if options.self_test:
-        results.append(_harness_self_test())
-
     results.sort(key=lambda r: (r.check_name, -1 if r.trial is None else r.trial))
-    return VerificationReport(tuple(results), complete, tuple(notes))
+    return VerificationReport(tuple(results), tuple(notes))
 
 
 def format_report(report: VerificationReport) -> str:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Incidence, OrientedHypergraph
+from .core import Incidence, OrientedHypergraph, _require_int
 from .matrices import LabeledIntegerMatrix, _one_steps, _pair_steps
 
 
@@ -108,6 +108,7 @@ def _anchor_is_vertex(g: OrientedHypergraph, label: str) -> bool:
 
 
 def _require_length(start_is_vertex: bool, end_is_vertex: bool, n: int) -> None:
+    _require_int(n, "incidence count")
     if n < 0:
         raise ValueError(f"incidence count must be nonnegative, got {n}")
     if start_is_vertex == end_is_vertex:
@@ -119,6 +120,8 @@ def _require_length(start_is_vertex: bool, end_is_vertex: bool, n: int) -> None:
 
 
 def _require_search(n: int, max_walks: int) -> None:
+    _require_int(n, "incidence count")
+    _require_int(max_walks, "max_walks")
     if max_walks < 1:
         raise ValueError(f"max_walks must be at least 1, got {max_walks}")
     if n > INCIDENCE_CAP:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -212,10 +213,8 @@ def test_random_infeasible_is_input_error(capsys):
 
 
 def test_verify_instance(instance_file, capsys):
-    assert main(["verify", instance_file, "--self-test"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS harness_self_test" in out
-    assert "0 failed" in out
+    assert main(["verify", instance_file]) == 0
+    assert "0 failed" in capsys.readouterr().out
 
 
 def test_verify_family(capsys):
@@ -346,6 +345,13 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_a_second_double_dash_is_the_instance_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "--").write_text(serialize_instance(two_vertex_edge()))
+    assert main(["matrix", "degree", "--", "--"]) == 0
+    assert capsys.readouterr().out == ",v1,v2\nv1,1,0\nv2,0,1\n"
+
+
 def test_stdin_instance(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_instance(two_vertex_edge())))
     assert main(["matrix", "degree", "-"]) == 0
@@ -404,3 +410,71 @@ def test_mutated_instance_files_keep_the_exit_code_contract(edits):
                 code = main(argv)
             assert code in (0, 1, 2), (argv, bytes(data))
             assert "Traceback" not in err.getvalue(), (argv, bytes(data))
+
+
+@pytest.fixture(scope="module")
+def path3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv") / "p3.json"
+    path.write_text(serialize_instance(path3()))
+    return str(path)
+
+
+def _values(action):
+    # What the argument reads: one of its choices, a small int (which keeps
+    # every request quick), a rate, or a label or the file of path3.
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(-2, 5).map(str)
+    if action.type is float:
+        return st.sampled_from(("0", "0.5", "1"))
+    if action.option_strings:
+        return st.sampled_from(("v1", "v3", "e2", "FILE"))
+    return st.just("FILE")
+
+
+# Per subcommand: its positional arguments and its options but help.
+_SUBCOMMANDS = {
+    name: (
+        [action for action in parser._actions if not action.option_strings],
+        [action for action in parser._actions
+         if action.option_strings and not isinstance(action, argparse._HelpAction)],
+    )
+    for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    for name, parser in action.choices.items()
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    positionals, options = _SUBCOMMANDS[command]
+    argv = [command, *(draw(_values(action)) for action in positionals)]
+    for action in options:
+        if action.required or draw(st.booleans()):
+            argv.append(action.option_strings[-1])
+            if action.nargs != 0:
+                argv.append(draw(_values(action)))
+    # At most one odd float or stray word, in place of an argument or added.
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = [draw(st.sampled_from(
+            ("0.5", "-0.0", "1e3", "nan", "inf", "1_0", "x", "--", "FILE")
+        ))]
+    return argv
+
+
+@settings(max_examples=150)
+@given(_argvs())
+def test_option_values_keep_the_exit_code_contract(path3_file, argv):
+    # Any mix of a subcommand's options and values exits 0, 1 or 2 (argparse
+    # exits by SystemExit) with no traceback.
+    argv = [path3_file if arg == "FILE" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -113,6 +113,10 @@ class TestPredicates:
         assert all(is_k_uniform(edgeless, k) for k in (1, 2, 5))
         with pytest.raises(ValueError):
             is_k_uniform(g, 0)
+        for k in (True, 3.0):
+            with pytest.raises(ValueError,
+                               match=f"^uniformity parameter must be an integer, got {k}$"):
+                is_k_uniform(g, k)
 
     def test_regular(self):
         g = two_vertex_edge()
@@ -120,6 +124,10 @@ class TestPredicates:
         assert not is_k_regular(g, 2)
         with pytest.raises(ValueError):
             is_k_regular(g, -1)
+        for k in (True, 1.0):
+            with pytest.raises(ValueError,
+                               match=f"^regularity parameter must be an integer, got {k}$"):
+                is_k_regular(g, k)
 
     def test_dual_of_uniform_is_regular(self):
         g = OrientedHypergraph(
@@ -217,6 +225,7 @@ def test_equality_ignores_incidence_storage_order():
     )
     assert a == b and hash(a) == hash(b)
     assert a != OrientedHypergraph(("v2", "v1"), ("e1",), a.incidences)
+    assert (a == "g") is False
 
 
 class TestIncidenceLookups:

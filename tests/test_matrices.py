@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ohmatrix import (
     Incidence,
-    InstanceFormatError,
     LabeledIntegerMatrix,
     OrientedHypergraph,
     SwitchingFunction,
@@ -18,7 +17,6 @@ from ohmatrix import (
     incidence_matrix,
     is_simple,
     laplacian,
-    parse_matrix,
     random_switching,
     switch,
     switching_matrix,
@@ -39,6 +37,26 @@ def test_only_the_matrices_module_skips_validation():
                               getattr(node, "name", None)):
                 users.add(path.name)
     assert users == {"matrices.py"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, and a __future__ import is a switch.
+    unused = {}
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}
 
 
 class TestLabeledIntegerMatrix:
@@ -63,12 +81,16 @@ class TestLabeledIntegerMatrix:
         b = LabeledIntegerMatrix.identity(("x", "z"))
         with pytest.raises(ValueError, match="labels"):
             a + b
+        with pytest.raises(TypeError):
+            a + 1
 
     def test_product_requires_matching_inner_labels(self):
         a = LabeledIntegerMatrix(("r",), ("x", "y"), ((1, 2),))
         b = LabeledIntegerMatrix(("y", "x"), ("c",), ((3,), (4,)))
         with pytest.raises(ValueError, match="inner labels"):
             a @ b
+        with pytest.raises(TypeError):
+            a @ 1
 
     def test_product_and_transpose(self):
         a = LabeledIntegerMatrix(("r1", "r2"), ("m",), ((2,), (3,)))
@@ -89,6 +111,10 @@ class TestLabeledIntegerMatrix:
         assert a.power(2) == LabeledIntegerMatrix.identity(("x", "y"))
         with pytest.raises(ValueError):
             a.power(-1)
+        for k in (True, 2.0):
+            with pytest.raises(ValueError,
+                               match=f"^matrix power exponent must be an integer, got {k}$"):
+                a.power(k)
         with pytest.raises(ValueError):
             LabeledIntegerMatrix(("x",), ("y",), ((1,),)).power(2)
 
@@ -181,17 +207,10 @@ class TestArithmetic:
         (lambda: LabeledIntegerMatrix.diagonal(("a", "b"), [1, 2.5]), TypeError, "integers"),
         (lambda: LabeledIntegerMatrix.diagonal(("a", "b"), [1]), ValueError, "one value"),
         (lambda: LabeledIntegerMatrix.diagonal(("a", "a"), [1, 2]), ValueError, "duplicate"),
-        (lambda: parse_matrix(",c\na,1\na,2\n"), InstanceFormatError, "duplicate"),
-        (lambda: parse_matrix('{"rows": ["a"], "cols": ["c"], "entries": [[1.5]]}', "json"),
-         InstanceFormatError, "integer"),
-        (lambda: parse_matrix('{"rows": ["a"], "cols": ["c"], "entries": [[1, 2]]}', "json"),
-         InstanceFormatError, "columns"),
-        (lambda: parse_matrix('{"rows": ["a", "a"], "cols": [], "entries": [[], []]}', "json"),
-         InstanceFormatError, "duplicate"),
     ])
-    def test_diagonal_and_parse_matrix_still_validate(self, build, error, match):
+    def test_diagonal_still_validates(self, build, error, match):
         # The constructor's own float, ragged and duplicate cases are in
-        # TestLabeledIntegerMatrix, the CSV cell errors in test_io.
+        # TestLabeledIntegerMatrix.
         with pytest.raises(error, match=match):
             build()
 

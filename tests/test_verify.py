@@ -10,10 +10,12 @@ import ohmatrix.matrices
 import ohmatrix.verify
 import ohmatrix.walks
 from ohmatrix import (
+    CheckResult,
     Incidence,
     LabeledIntegerMatrix,
     OrientedHypergraph,
     SwitchingFunction,
+    VerificationReport,
     VerifyOptions,
     adjacency_matrix,
     format_report,
@@ -83,13 +85,6 @@ def test_rejects_invalid_instance():
         run_verify_suite(bad, seed=0, options=FAST)
 
 
-def test_self_test_detects_corruption():
-    report = run_verify_suite(two_vertex_edge(), seed=0, options=VerifyOptions(self_test=True))
-    self_tests = [r for r in report.results if r.check_name == "harness_self_test"]
-    assert len(self_tests) == 1 and self_tests[0].status == "pass"
-    assert report.passed()
-
-
 def test_resource_ceiling_flags_incomplete_report():
     tiny = VerifyOptions(max_walks=2)
     report = run_verify_suite(uniform3_edge(), seed=0, options=tiny)
@@ -97,6 +92,17 @@ def test_resource_ceiling_flags_incomplete_report():
     assert not report.passed()
     assert report.notes
     assert "INCOMPLETE" in format_report(report)
+
+
+def test_status_and_completeness_are_derived():
+    # A check fails exactly when it has a counterexample, and a report is
+    # complete exactly when no note says a trial was cut short.
+    passing, failing = CheckResult("c", "s"), CheckResult("c", "s", "mismatch")
+    assert (passing.status, failing.status) == ("pass", "fail")
+    report = VerificationReport((passing,), ("trial 0: cut short",))
+    assert not report.complete and not report.passed()
+    assert VerificationReport((passing,)).passed()
+    assert not VerificationReport((failing,)).passed()
 
 
 def test_format_report_lines():
@@ -269,7 +275,7 @@ def test_zero_trials_is_an_empty_pass():
 def test_options_hold_one_field_per_verify_flag():
     assert [f.name for f in dataclasses.fields(VerifyOptions)] == [
         "trials", "max_vertices", "max_edges", "max_edge_size", "max_walk_incidences",
-        "switching_trials", "max_walks", "self_test",
+        "switching_trials", "max_walks",
     ]
 
 

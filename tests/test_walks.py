@@ -131,6 +131,12 @@ class TestEnumerateWalks:
     def test_negative_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_walks(two_vertex_edge(), "v1", "v1", -2)
+        # A bool or a float equal to an integer is no count either.
+        for n in (True, 4.0):
+            for count in (enumerate_walks, walk_counts):
+                with pytest.raises(ValueError,
+                                   match=f"^incidence count must be an integer, got {n}$"):
+                    count(two_vertex_edge(), "v1", "v1", n)
 
     def test_incidence_cap(self):
         assert len(enumerate_walks(two_vertex_edge(), "v1", "v1", 500)) == 1
@@ -144,10 +150,15 @@ class TestEnumerateWalks:
                            match="^walk enumeration exceeded the ceiling of 1000 walks$"):
             enumerate_walks(two_vertex_edge(), "v1", "v1", 500, weak=True, max_walks=1000)
 
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_ceilings_below_their_least_value(self, value):
-        with pytest.raises(ValueError, match=f"^max_walks must be at least 1, got {value}$"):
+    @pytest.mark.parametrize("value, message", [
+        (0, "at least 1, got 0"), (-1, "at least 1, got -1"),
+        (True, "an integer, got True"), (2.5, "an integer, got 2.5"),
+    ])
+    def test_ceilings_below_their_least_value(self, value, message):
+        with pytest.raises(ValueError, match=f"^max_walks must be {message}$"):
             enumerate_walks(two_vertex_edge(), "v1", "v1", 2, max_walks=value)
+        with pytest.raises(ValueError, match=f"^max_walks must be {message}$"):
+            oracle_walk_matrix(two_vertex_edge(), "V", "V", 2, max_walks=value)
         assert len(enumerate_walks(two_vertex_edge(), "v1", "v2", 2, max_walks=1)) == 1
 
     def test_walk_count_ceiling(self):
@@ -303,6 +314,11 @@ class TestClosedForm:
     def test_negative_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
             walk_matrix(two_vertex_edge(), "V", "V", -2, weak=True)
+        for n in (True, 4.0):
+            for matrix in (walk_matrix, oracle_walk_matrix):
+                with pytest.raises(ValueError,
+                                   match=f"^incidence count must be an integer, got {n}$"):
+                    matrix(two_vertex_edge(), "V", "V", n)
 
     @pytest.mark.parametrize("build", [
         lambda: OrientedHypergraph((), (), ()),
