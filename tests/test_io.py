@@ -231,6 +231,24 @@ class TestMatrixSerialization:
         m = LabeledIntegerMatrix(rows, cols, entries)
         assert _read_back(serialize_matrix(m)) == m
 
+    @pytest.mark.parametrize("cell", [" 1_0", "1_0", " 1", "1 ", "+1", "١"])
+    def test_csv_cells_are_what_the_serializer_writes(self, cell):
+        # int() accepts each of these; serialize_matrix writes the integer
+        # the way str() does, and the read-back refuses the other spelling.
+        m = LabeledIntegerMatrix(("r",), ("c",), ((int(cell),),))
+        assert serialize_matrix(m) == f",c\nr,{int(cell)}\n"
+        with pytest.raises(AssertionError):
+            _read_back(f",c\nr,{cell}\n")
+
+    def test_json_golden(self):
+        text = serialize_matrix(adjacency_matrix(two_vertex_edge()), "json")
+        assert text == (
+            '{\n  "rows": [\n    "v1",\n    "v2"\n  ],\n'
+            '  "cols": [\n    "v1",\n    "v2"\n  ],\n'
+            '  "entries": [\n    [\n      0,\n      -1\n    ],\n'
+            '    [\n      -1,\n      0\n    ]\n  ]\n}\n'
+        )
+
     def test_json_round_trip(self):
         m = adjacency_matrix(two_vertex_edge())
         assert _read_back(serialize_matrix(m, "json"), "json") == m

@@ -207,10 +207,14 @@ class TestArithmetic:
         (lambda: LabeledIntegerMatrix.diagonal(("a", "b"), [1, 2.5]), TypeError, "integers"),
         (lambda: LabeledIntegerMatrix.diagonal(("a", "b"), [1]), ValueError, "one value"),
         (lambda: LabeledIntegerMatrix.diagonal(("a", "a"), [1, 2]), ValueError, "duplicate"),
+        (lambda: LabeledIntegerMatrix(["a"], ["c"], [[1.5]]), TypeError, "integers"),
+        (lambda: LabeledIntegerMatrix(["a"], ["c"], [[True]]), TypeError, "integers"),
+        (lambda: LabeledIntegerMatrix(["a"], ["c"], [[1, 2]]), ValueError, "columns"),
+        (lambda: LabeledIntegerMatrix(["a", "a"], [], [[], []]), ValueError, "duplicate"),
     ])
-    def test_diagonal_still_validates(self, build, error, match):
-        # The constructor's own float, ragged and duplicate cases are in
-        # TestLabeledIntegerMatrix.
+    def test_diagonal_and_list_input_still_validate(self, build, error, match):
+        # The constructor's own tuple cases are in TestLabeledIntegerMatrix;
+        # data decoded from JSON comes as lists and may hold floats and bools.
         with pytest.raises(error, match=match):
             build()
 

@@ -105,6 +105,31 @@ def test_status_and_completeness_are_derived():
     assert not VerificationReport((failing,)).passed()
 
 
+_IDENTITY = LabeledIntegerMatrix.identity(("a", "b", "c"))
+
+
+def _filled(value):
+    return LabeledIntegerMatrix(_IDENTITY.row_labels, _IDENTITY.col_labels, [[value] * 3] * 3)
+
+
+@pytest.mark.parametrize("right, message", [
+    (_IDENTITY, None),
+    (_IDENTITY + _IDENTITY, "I differs from M at (a, a): 1 vs 2; (b, b): 1 vs 2; (c, c): 1 vs 2"),
+    (LabeledIntegerMatrix.identity(("a", "b", "d")),
+     "I and M have different labels: "
+     "('a', 'b', 'c')x('a', 'b', 'c') vs ('a', 'b', 'd')x('a', 'b', 'd')"),
+    (_filled(1),
+     "I differs from M at (a, b): 0 vs 1; (a, c): 0 vs 1; (b, a): 0 vs 1; "
+     "(b, c): 0 vs 1; (c, a): 0 vs 1; (c, b): 0 vs 1"),
+    (_filled(2),
+     "I differs from M at (a, a): 1 vs 2; (a, b): 0 vs 2; (a, c): 0 vs 2; "
+     "(b, a): 0 vs 2; (b, b): 1 vs 2; (b, c): 0 vs 2; ..."),
+], ids=["equal", "diagonal", "labels", "six cells", "nine cells"])
+def test_matrix_diff_names_the_differing_cells(right, message):
+    # Cells in row-major order, at most six of them.
+    assert ohmatrix.verify._matrix_diff("I", _IDENTITY, "M", right) == message
+
+
 def test_format_report_lines():
     report = run_verify_suite(two_vertex_edge(), seed=0, options=FAST)
     text = format_report(report)

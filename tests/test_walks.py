@@ -153,7 +153,7 @@ class TestEnumerateWalks:
     @pytest.mark.parametrize("value, message", [
         (0, "at least 1, got 0"), (-1, "at least 1, got -1"),
         (True, "an integer, got True"), (2.5, "an integer, got 2.5"),
-    ])
+    ], ids=["0", "-1", "True", "2.5"])
     def test_ceilings_below_their_least_value(self, value, message):
         with pytest.raises(ValueError, match=f"^max_walks must be {message}$"):
             enumerate_walks(two_vertex_edge(), "v1", "v1", 2, max_walks=value)
