@@ -22,8 +22,11 @@ therefore always negative.
 
 Enumeration is exhaustive depth-first search, one level per pair step of
 two incidences, and is intended as a desk-scale oracle; it still generates
-every walk one by one.  One ceiling, ``max_walks`` on the walks a search
-generates, keeps each run bounded; a search refuses incidence counts above
+every walk one by one.  It builds its own per-anchor index from
+``g.incidences``, sharing none with the matrix builders it checks.  One
+ceiling, ``max_walks`` on the walks a search generates, keeps each run
+bounded: the search counts its walks before generating any and refuses up
+front when they are too many.  A search also refuses incidence counts above
 ``INCIDENCE_CAP``, which keeps its recursion shallow.  Walk matrices are
 computed in closed form instead, as products of one pair-step matrix (see
 :func:`walk_matrix`), with :func:`oracle_walk_matrix` as their brute-force
@@ -168,8 +171,17 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     pair steps for even n, the one-incidence steps ``(end, sign, inc)`` for
     odd n, and the trivial ``(a, 1)`` for n = 0.  Every entry's incidences
     are its items from index 2 on.
+
+    The rows come from ``g.incidences`` alone, not from the per-anchor index
+    that the matrix builders and ``degree`` read, so a fault in that index
+    cannot hide from the oracle that checks them.
     """
-    here, there = g._walk_tables if start_is_vertex else g._walk_tables[::-1]
+    at_vertex, at_edge = [[] for _ in g.vertices], [[] for _ in g.edges]
+    for inc in sorted(g.incidences, key=g.incidence_sort_key):
+        v, e = g.vertex_index[inc.vertex], g.edge_index[inc.edge]
+        at_vertex[v].append((e, inc.sign, inc))
+        at_edge[e].append((v, inc.sign, inc))
+    here, there = (at_vertex, at_edge) if start_is_vertex else (at_edge, at_vertex)
     pairs = tuple(
         tuple(
             (target, -s1 * s2, first, second)
@@ -186,6 +198,21 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     return pairs, last
 
 
+def _walk_total(plan, start: int, n: int) -> int:
+    """The number of walks :func:`_search` generates from ``start``, counted
+    without generating them: a count per anchor pushed through the pair
+    rows, once per interior step, then each count times its last row."""
+    pairs, last = plan
+    counts = {start: 1}
+    for _ in range((n - 1) // 2):
+        reached: dict[int, int] = {}
+        for idx, k in counts.items():
+            for entry in pairs[idx]:
+                reached[entry[0]] = reached.get(entry[0], 0) + k
+        counts = reached
+    return sum(k * len(last[idx]) for idx, k in counts.items())
+
+
 def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
     """The one walk search: depth-first over every walk with ``n`` incidences
     from one anchor, in canonical order, whatever the endpoint.
@@ -194,10 +221,13 @@ def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
     and calls ``visit(idx, prefix, sign)`` once per anchor ``idx`` reached,
     where ``prefix`` (the live stack) and ``sign`` cover the interior steps;
     each entry of ``plan``'s last row at ``idx`` completes one walk.  Every
-    complete walk counts against ``max_walks``, and they are taken off the
-    budget before ``visit`` runs.
+    complete walk counts against ``max_walks``: a search whose
+    :func:`_walk_total` is above it is refused before it starts, and the
+    walks are also taken off a budget before ``visit`` runs, as a backstop.
     """
     pairs, last = plan
+    if _walk_total(plan, start, n) > max_walks:
+        raise EnumerationLimitError(f"walk enumeration exceeded the ceiling of {max_walks} walks")
     budget = [max_walks]
     prefix: list[Incidence] = []
 

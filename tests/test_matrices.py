@@ -39,6 +39,34 @@ def test_only_the_matrices_module_skips_validation():
     assert users == {"matrices.py"}
 
 
+def test_the_walk_oracle_reads_nothing_it_checks():
+    # The oracle, and every walks.py function it reaches, names neither the
+    # per-anchor index the builders share, nor what reads it, nor a matrices
+    # function.
+    def defs(name):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    walks, builders = defs("walks.py"), set(defs("matrices.py"))
+    assert {"_one_steps", "_pair_steps", "laplacian"} <= builders
+    checked = builders | {"_walk_tables", "_canonical_incidences", "incidences_at_vertex",
+                          "incidences_at_edge", "degree", "edge_size", "walk_matrix"}
+    todo = ["_plan", "_search", "_walk_total", "enumerate_walks", "walk_counts",
+            "oracle_walk_counts", "oracle_walk_matrix"]
+    seen, readers = set(), {}
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        names = {getattr(node, "attr", None) or getattr(node, "id", None)
+                 for node in ast.walk(walks[name])}
+        todo.extend(names & walks.keys())
+        if names & checked:
+            readers[name] = sorted(names & checked)
+    assert readers == {}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # __init__.py imports to re-export, and a __future__ import is a switch.
     unused = {}

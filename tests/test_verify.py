@@ -73,6 +73,56 @@ def test_family_runs_no_per_pair_or_per_vertex_enumeration(monkeypatch):
     assert expected.passed() and len(expected.results) == 95
 
 
+@pytest.mark.parametrize("max_walks", [FAST.max_walks, 40])
+def test_silencing_the_up_front_walk_count_changes_no_report(monkeypatch, max_walks):
+    # The count only refuses a search before it starts; the DFS budget
+    # refuses the same searches, so a count that says too little lets
+    # nothing through.
+    options = dataclasses.replace(FAST, max_walks=max_walks)
+    expected = run_verify_suite(seed=17, options=options)
+    monkeypatch.setattr(ohmatrix.walks, "_walk_total", lambda *args: 0)
+    assert run_verify_suite(seed=17, options=options) == expected
+    assert expected.complete == (max_walks == FAST.max_walks)
+
+
+def test_fourteen_walk_incidences_pass_on_a_seeded_family():
+    report = run_verify_suite(seed=0, options=VerifyOptions(trials=3, max_walk_incidences=14))
+    assert (len(report.results), len(report.failures), report.complete) == (37, 0, True)
+
+
+def _walk_table_fault(keep, flip):
+    real = OrientedHypergraph._walk_tables.func
+
+    def faulty(g):
+        return tuple(
+            tuple(
+                tuple((other, -sign if flip(inc) else sign, inc)
+                      for other, sign, inc in row if keep(inc))
+                for row in side
+            )
+            for side in real(g)
+        )
+
+    return property(faulty)
+
+
+@pytest.mark.parametrize("keep, flip, caught", [
+    (lambda inc: inc.mult_index == 1, lambda inc: False,
+     {"degree_backsteps", "half_walk_incidence", "half_walk_laplacian",
+      "laplacian_walk_entries", "walk_oracle_power_nonsimple"}),
+    (lambda inc: True, lambda inc: inc.mult_index > 1,
+     {"half_walk_incidence", "half_walk_laplacian", "laplacian_walk_entries",
+      "walk_oracle_power_nonsimple"}),
+    (lambda inc: True, lambda inc: True, {"half_walk_incidence"}),
+], ids=["drop_repeated_incidences", "negate_repeated_signs", "negate_every_sign"])
+def test_a_fault_in_the_shared_walk_index_fails_verify(monkeypatch, keep, flip, caught):
+    # The builders and degree read g._walk_tables; the oracle builds its own
+    # index from g.incidences, so it sees the fault.
+    monkeypatch.setattr(OrientedHypergraph, "_walk_tables", _walk_table_fault(keep, flip))
+    report = run_verify_suite(seed=0)
+    assert {r.check_name for r in report.failures} == caught
+
+
 def test_results_are_canonically_ordered():
     report = run_verify_suite(seed=17, options=FAST)
     keys = [(r.check_name, -1 if r.trial is None else r.trial) for r in report.results]

@@ -591,6 +591,35 @@ class TestSearch:
             assert enumerate_walks(g, "v2", "v2", n) == expected
 
     @pytest.mark.parametrize("weak", [False, True])
+    @pytest.mark.parametrize("simple", [True, False])
+    @given(data=st.data())
+    def test_walk_total_is_the_number_of_walks_the_search_generates(self, simple, weak, data):
+        g = data.draw(instances(max_vertices=5, max_edges=4, simple=simple))
+        for n, start_is_vertex in itertools.product(range(9), (True, False)):
+            plan = ohmatrix.walks._plan(g, start_is_vertex, n, weak)
+            for start in range(len(g.vertices if start_is_vertex else g.edges)):
+                generated = []
+                ohmatrix.walks._search(plan, start, n, 10**9,
+                                       lambda idx, *_: generated.append(len(plan[1][idx])))
+                assert ohmatrix.walks._walk_total(plan, start, n) == sum(generated)
+
+    def test_a_search_above_the_ceiling_is_refused_before_its_first_walk(self):
+        plan = ohmatrix.walks._plan(two_vertex_edge(), True, 500, True)
+        visits = []
+        with pytest.raises(EnumerationLimitError,
+                           match="^walk enumeration exceeded the ceiling of 1000 walks$"):
+            ohmatrix.walks._search(plan, 0, 500, 1000, lambda *args: visits.append(args))
+        assert visits == []
+
+    @pytest.mark.parametrize("weak", [False, True])
+    @pytest.mark.parametrize("build", [uniform3_edge, double_incidence, path3])
+    def test_the_walk_budget_alone_refuses_the_same_searches(self, monkeypatch, build, weak):
+        # With the up-front count silenced, the budget each walk is taken off
+        # is the backstop, and it refuses exactly the same searches.
+        monkeypatch.setattr(ohmatrix.walks, "_walk_total", lambda *args: 0)
+        self.test_refuses_exactly_the_searches_above_the_walk_ceiling(build, weak)
+
+    @pytest.mark.parametrize("weak", [False, True])
     @pytest.mark.parametrize("build", [uniform3_edge, double_incidence, path3])
     def test_refuses_exactly_the_searches_above_the_walk_ceiling(self, build, weak):
         g = build()
