@@ -23,7 +23,8 @@ therefore always negative.
 Enumeration is exhaustive depth-first search, one level per pair step of
 two incidences, and is intended as a desk-scale oracle; it still generates
 every walk one by one.  It builds its own per-anchor index from
-``g.incidences``, sharing none with the matrix builders it checks.  One
+``g.incidences``, sharing neither the cached index that the matrix builders
+it checks read nor that index's sort key.  One
 ceiling, ``max_walks`` on the walks a search generates, keeps each run
 bounded: the search counts its walks before generating any and refuses up
 front when they are too many.  A search also refuses incidence counts above
@@ -172,15 +173,20 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     odd n, and the trivial ``(a, 1)`` for n = 0.  Every entry's incidences
     are its items from index 2 on.
 
-    The rows come from ``g.incidences`` alone, not from the per-anchor index
-    that the matrix builders and ``degree`` read, so a fault in that index
-    cannot hide from the oracle that checks them.
+    The rows come from ``g.incidences``, sorted here by the other anchor's
+    position and ``mult_index``.  They share neither the cached per-anchor
+    index that the matrix builders and ``degree`` read nor its sort key
+    ``g.incidence_sort_key``, so a fault in either shows up as a mismatch.
+    Both sides still use the label positions ``vertex_index`` and
+    ``edge_index``.
     """
     at_vertex, at_edge = [[] for _ in g.vertices], [[] for _ in g.edges]
-    for inc in sorted(g.incidences, key=g.incidence_sort_key):
+    for inc in g.incidences:
         v, e = g.vertex_index[inc.vertex], g.edge_index[inc.edge]
         at_vertex[v].append((e, inc.sign, inc))
         at_edge[e].append((v, inc.sign, inc))
+    for row in (*at_vertex, *at_edge):
+        row.sort(key=lambda entry: (entry[0], entry[2].mult_index))
     here, there = (at_vertex, at_edge) if start_is_vertex else (at_edge, at_vertex)
     pairs = tuple(
         tuple(
@@ -220,15 +226,13 @@ def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
     It recurses once per interior pair step, (n - 1) // 2 of them for n > 0,
     and calls ``visit(idx, prefix, sign)`` once per anchor ``idx`` reached,
     where ``prefix`` (the live stack) and ``sign`` cover the interior steps;
-    each entry of ``plan``'s last row at ``idx`` completes one walk.  Every
-    complete walk counts against ``max_walks``: a search whose
-    :func:`_walk_total` is above it is refused before it starts, and the
-    walks are also taken off a budget before ``visit`` runs, as a backstop.
+    each entry of ``plan``'s last row at ``idx`` completes one walk.  A
+    search whose :func:`_walk_total` is above ``max_walks`` is refused before
+    it generates any walk.
     """
-    pairs, last = plan
+    pairs = plan[0]
     if _walk_total(plan, start, n) > max_walks:
         raise EnumerationLimitError(f"walk enumeration exceeded the ceiling of {max_walks} walks")
-    budget = [max_walks]
     prefix: list[Incidence] = []
 
     def descend(idx: int, steps: int, sign: int) -> None:
@@ -239,11 +243,6 @@ def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
                 descend(target, steps - 1, sign * step_sign)
                 del prefix[-2:]
         else:
-            budget[0] -= len(last[idx])
-            if budget[0] < 0:
-                raise EnumerationLimitError(
-                    f"walk enumeration exceeded the ceiling of {max_walks} walks"
-                )
             visit(idx, prefix, sign)
 
     try:

@@ -41,16 +41,17 @@ def test_only_the_matrices_module_skips_validation():
 
 def test_the_walk_oracle_reads_nothing_it_checks():
     # The oracle, and every walks.py function it reaches, names neither the
-    # per-anchor index the builders share, nor what reads it, nor a matrices
-    # function.
+    # per-anchor index the builders share, nor its sort key, nor what reads
+    # it, nor a matrices function.
     def defs(name):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     walks, builders = defs("walks.py"), set(defs("matrices.py"))
     assert {"_one_steps", "_pair_steps", "laplacian"} <= builders
-    checked = builders | {"_walk_tables", "_canonical_incidences", "incidences_at_vertex",
-                          "incidences_at_edge", "degree", "edge_size", "walk_matrix"}
+    checked = builders | {"_walk_tables", "_canonical_incidences", "incidence_sort_key",
+                          "incidences_at_vertex", "incidences_at_edge", "degree",
+                          "edge_size", "walk_matrix"}
     todo = ["_plan", "_search", "_walk_total", "enumerate_walks", "walk_counts",
             "oracle_walk_counts", "oracle_walk_matrix"]
     seen, readers = set(), {}

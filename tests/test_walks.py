@@ -613,14 +613,6 @@ class TestSearch:
 
     @pytest.mark.parametrize("weak", [False, True])
     @pytest.mark.parametrize("build", [uniform3_edge, double_incidence, path3])
-    def test_the_walk_budget_alone_refuses_the_same_searches(self, monkeypatch, build, weak):
-        # With the up-front count silenced, the budget each walk is taken off
-        # is the backstop, and it refuses exactly the same searches.
-        monkeypatch.setattr(ohmatrix.walks, "_walk_total", lambda *args: 0)
-        self.test_refuses_exactly_the_searches_above_the_walk_ceiling(build, weak)
-
-    @pytest.mark.parametrize("weak", [False, True])
-    @pytest.mark.parametrize("build", [uniform3_edge, double_incidence, path3])
     def test_refuses_exactly_the_searches_above_the_walk_ceiling(self, build, weak):
         g = build()
         for n in range(5):
