@@ -12,11 +12,21 @@ matrices of the switched instance against ``D^T A D``, ``D H`` and
 A failing check always carries a reproducible counterexample: the canonical
 serialization of the instance plus the first differing entries, and the
 seeds that regenerate it.
+
+Family trials run in contiguous parts, one per CPU the process may use
+(``os.sched_getaffinity``): the caller runs the first part and a forked
+child runs each other one.  The parts are merged in trial order, so the
+report does not depend on the part count; ``taskset -c 0 ohmatrix verify``
+runs in one process, as do single-instance mode and a caller with more
+than one thread.  An in-process tracer or profiler sees only the caller's
+part.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from dataclasses import dataclass
 
 from .core import (
@@ -300,6 +310,104 @@ def _instance_checks(
     ]
 
 
+def _family_instance(trial_seed: int, options: VerifyOptions) -> tuple[OrientedHypergraph, int]:
+    """One family trial's instance and switching seed, from its master seed."""
+    trng = random.Random(trial_seed)
+    nv = trng.randint(1, options.max_vertices)
+    ne = trng.randint(0, options.max_edges)
+    if trng.random() < NON_SIMPLE_RATE:
+        mes = trng.randint(1, options.max_edge_size)
+        g = random_instance(trng.getrandbits(64), nv, ne, mes, simple=False, non_simple_rate=0.35)
+    else:
+        mes = trng.randint(1, min(options.max_edge_size, nv))
+        g = random_instance(trng.getrandbits(64), nv, ne, mes, simple=True)
+    return g, trng.getrandbits(64)
+
+
+def _check_part(
+    instance: OrientedHypergraph | None,
+    part: list[tuple[int | None, int]],
+    seed: int,
+    options: VerifyOptions,
+) -> tuple[list[CheckResult], list[str]]:
+    """Results and notes of the ``(trial, master seed)`` targets in ``part``, in order."""
+    results: list[CheckResult] = []
+    notes: list[str] = []
+    for trial, trial_seed in part:
+        if instance is None:
+            g, theta_seed = _family_instance(trial_seed, options)
+        else:
+            g, theta_seed = instance, trial_seed
+        try:
+            results.extend(_instance_checks(g, seed, trial, options, theta_seed))
+        except EnumerationLimitError as exc:
+            where = "single instance" if trial is None else f"trial {trial}"
+            notes.append(f"{where}: {exc}")
+    return results, notes
+
+
+def _check_parts(
+    instance: OrientedHypergraph | None,
+    targets: list[tuple[int | None, int]],
+    seed: int,
+    options: VerifyOptions,
+) -> tuple[list[CheckResult], list[str]]:
+    """Results and notes of the targets, in one contiguous part per usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(len(targets), cpus)
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _check_part(instance, targets, seed, options)
+    import pickle
+    import signal
+
+    bounds = [len(targets) * i // count for i in range(count + 1)]
+    children = {}  # pid -> (read end of its pipe, its trials)
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child never returns into the caller: os._exit skips the
+                # caller's code, its atexit hooks and its unflushed buffers.
+                code = 1
+                try:
+                    try:
+                        payload = (True, _check_part(instance, targets[lo:hi], seed, options))
+                    except Exception as exc:
+                        payload = (False, exc)
+                    with os.fdopen(write_fd, "wb") as out:
+                        pickle.dump(payload, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = (os.fdopen(read_fd, "rb"), f"{lo}-{hi - 1}")
+        results, notes = _check_part(instance, targets[:bounds[1]], seed, options)
+        for pid, (pipe, trials) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"the verify part of trials {trials} ended with {how} before sending its results"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results += value[0]
+            notes += value[1]
+    finally:
+        # An error or interrupt leaves no child behind, even one blocked on
+        # a full pipe.
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results, notes
+
+
 def run_verify_suite(
     instance: OrientedHypergraph | None = None,
     *,
@@ -310,40 +418,19 @@ def run_verify_suite(
 
     With an ``instance`` the checks run once on it (the seed still feeds the
     random switching functions).  Without one, ``options.trials`` instances
-    are generated from ``seed``.  Output ordering is canonical: results are
-    sorted by check name, then trial.
+    are generated from ``seed``, one master seed per trial, and checked in
+    one part per usable CPU.  Output ordering is canonical: results are
+    sorted by check name, then trial, whatever the part count.
     """
-    results: list[CheckResult] = []
-    notes: list[str] = []
     master = random.Random(seed)
-
     if instance is not None:
         problems = validate(instance)
         if problems:
             raise ValueError("instance is invalid: " + "; ".join(problems))
-        targets = [(None, instance, master.getrandbits(64))]
+        targets = [(None, master.getrandbits(64))]
     else:
-        targets = []
-        for trial in range(options.trials):
-            trng = random.Random(master.getrandbits(64))
-            nv = trng.randint(1, options.max_vertices)
-            ne = trng.randint(0, options.max_edges)
-            if trng.random() < NON_SIMPLE_RATE:
-                mes = trng.randint(1, options.max_edge_size)
-                g = random_instance(
-                    trng.getrandbits(64), nv, ne, mes, simple=False, non_simple_rate=0.35
-                )
-            else:
-                mes = trng.randint(1, min(options.max_edge_size, nv))
-                g = random_instance(trng.getrandbits(64), nv, ne, mes, simple=True)
-            targets.append((trial, g, trng.getrandbits(64)))
-
-    for trial, g, theta_seed in targets:
-        try:
-            results.extend(_instance_checks(g, seed, trial, options, theta_seed))
-        except EnumerationLimitError as exc:
-            where = "single instance" if trial is None else f"trial {trial}"
-            notes.append(f"{where}: {exc}")
+        targets = [(trial, master.getrandbits(64)) for trial in range(options.trials)]
+    results, notes = _check_parts(instance, targets, seed, options)
 
     results.sort(key=lambda r: (r.check_name, -1 if r.trial is None else r.trial))
     return VerificationReport(tuple(results), tuple(notes))
