@@ -18,15 +18,15 @@ Family trials run in contiguous parts, one per CPU the process may use
 child runs each other one.  The parts are merged in trial order, so the
 report does not depend on the part count; ``taskset -c 0 ohmatrix verify``
 runs in one process, as do single-instance mode and a caller with more
-than one thread.  An in-process tracer or profiler sees only the caller's
-part.
+than one thread.  An in-process tracer or profiler, and the caller's own
+peak memory, see only the caller's part.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import threading
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -355,39 +355,58 @@ def _check_parts(
     """Results and notes of the targets, in one contiguous part per usable CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = min(len(targets), cpus)
-    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    # A thread can only have been started if threading was imported.
+    threading = sys.modules.get("threading")
+    threaded = threading is not None and threading.active_count() > 1
+    if count < 2 or not hasattr(os, "fork") or threaded:
         return _check_part(instance, targets, seed, options)
     import pickle
     import signal
+
+    def held():
+        # Signals wait while a child is forked and registered, reaped and
+        # forgotten, or killed: an interrupt inside those steps would leave
+        # a child unowned, or run the caller's code in the child.
+        return signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
 
     bounds = [len(targets) * i // count for i in range(count + 1)]
     children = {}  # pid -> (read end of its pipe, its trials)
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # The child never returns into the caller: os._exit skips the
-                # caller's code, its atexit hooks and its unflushed buffers.
-                code = 1
-                try:
+            mask = held()
+            try:
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    # The child never returns into the caller: os._exit skips
+                    # the caller's code, its atexit hooks and its unflushed
+                    # buffers.
+                    code = 1
                     try:
-                        payload = (True, _check_part(instance, targets[lo:hi], seed, options))
-                    except Exception as exc:
-                        payload = (False, exc)
-                    with os.fdopen(write_fd, "wb") as out:
-                        pickle.dump(payload, out)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children[pid] = (os.fdopen(read_fd, "rb"), f"{lo}-{hi - 1}")
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        try:
+                            payload = (True, _check_part(instance, targets[lo:hi], seed, options))
+                        except Exception as exc:
+                            payload = (False, exc)
+                        with os.fdopen(write_fd, "wb") as out:
+                            pickle.dump(payload, out)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write_fd)
+                children[pid] = (os.fdopen(read_fd, "rb"), f"{lo}-{hi - 1}")
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results, notes = _check_part(instance, targets[:bounds[1]], seed, options)
         for pid, (pipe, trials) in list(children.items()):
             with pipe:
                 data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
+            mask = held()
+            try:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if code:
                 how = f"signal {-code}" if code < 0 else f"exit status {code}"
                 raise ChildProcessError(
@@ -401,10 +420,14 @@ def _check_parts(
     finally:
         # An error or interrupt leaves no child behind, even one blocked on
         # a full pipe.
-        for pid, (pipe, _) in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        mask = held()
+        try:
+            for pid, (pipe, _) in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return results, notes
 
 

@@ -227,6 +227,42 @@ def test_an_interrupt_leaves_no_child():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "interrupted\nno child left\n", "")
 
 
+@pytest.mark.parametrize("side", ["caller", "child"])
+def test_an_interrupt_as_a_child_is_forked_leaves_no_child(side):
+    # The interrupt lands the moment fork returns, before the caller has
+    # registered its child or the child is inside its guard; it must wait
+    # until both are.
+    proc = _run_script(f"""
+        import signal
+
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        real = os.fork
+
+        def fork():
+            pid = real()
+            if (pid == 0) == {side == "child"}:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        os.fork = fork
+        try:
+            run_verify_suite(seed=0, options=VerifyOptions(trials=6))
+        except KeyboardInterrupt:
+            print("interrupted")
+        except ChildProcessError as exc:
+            print(exc)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
+    """)
+    first = {
+        "caller": "interrupted",
+        "child": "the verify part of trials 3-5 ended with exit status 1 before sending its results",
+    }[side]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{first}\nno child left\n", "")
+
+
 def test_a_child_never_returns_into_the_caller():
     # Text buffered before the run is written once, and the code after it
     # and a finally around it run once, as in the benchmark's runner.
@@ -320,10 +356,12 @@ def test_a_fault_fails_trials_in_every_part(monkeypatch, name):
 
 
 def test_importing_the_cli_loads_no_pickle():
-    # Only a run that forks imports pickle and signal, so start-up and every
-    # other command pay nothing for them.
+    # Only a run that forks imports pickle and signal, and verify only looks
+    # threading up, so start-up and every other command pay nothing for
+    # them.  -S: some installs' site hooks load threading themselves.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, ohmatrix.cli; print(sorted({'pickle', 'signal'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    code = ("import sys, ohmatrix.cli; "
+            "print(sorted({'pickle', 'signal', 'threading'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "[]\n"
