@@ -15,10 +15,12 @@ seeds that regenerate it.
 
 Family trials run in contiguous parts, one per CPU the process may use
 (``os.sched_getaffinity``): the caller runs the first part and a forked
-child runs each other one.  The parts are merged in trial order, so the
-report does not depend on the part count; ``taskset -c 0 ohmatrix verify``
-runs in one process, as do single-instance mode and a caller with more
-than one thread.  An in-process tracer or profiler, and the caller's own
+child runs each other one, merged in trial order, so the report does not
+depend on the part count.  Single-instance mode never enters the parts
+driver; ``taskset -c 0`` and a caller with more than one thread run one
+part in process.  A part's error or death is raised once every part has
+ended; an error in the caller's own part, or an interrupt, kills the other
+parts at once.  An in-process tracer or profiler, and the caller's own
 peak memory, see only the caller's part.
 """
 
@@ -325,109 +327,99 @@ def _family_instance(trial_seed: int, options: VerifyOptions) -> tuple[OrientedH
 
 
 def _check_part(
-    instance: OrientedHypergraph | None,
-    part: list[tuple[int | None, int]],
+    part: list[tuple[int, int]],
     seed: int,
     options: VerifyOptions,
 ) -> tuple[list[CheckResult], list[str]]:
-    """Results and notes of the ``(trial, master seed)`` targets in ``part``, in order."""
+    """Results and notes of the ``(trial, master seed)`` family trials in ``part``, in order."""
     results: list[CheckResult] = []
     notes: list[str] = []
     for trial, trial_seed in part:
-        if instance is None:
-            g, theta_seed = _family_instance(trial_seed, options)
-        else:
-            g, theta_seed = instance, trial_seed
+        g, theta_seed = _family_instance(trial_seed, options)
         try:
             results.extend(_instance_checks(g, seed, trial, options, theta_seed))
         except EnumerationLimitError as exc:
-            where = "single instance" if trial is None else f"trial {trial}"
-            notes.append(f"{where}: {exc}")
+            notes.append(f"trial {trial}: {exc}")
     return results, notes
 
 
 def _check_parts(
-    instance: OrientedHypergraph | None,
-    targets: list[tuple[int | None, int]],
+    targets: list[tuple[int, int]],
     seed: int,
     options: VerifyOptions,
 ) -> tuple[list[CheckResult], list[str]]:
-    """Results and notes of the targets, in one contiguous part per usable CPU."""
+    """Results and notes of the family trials, in one contiguous part per usable CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = min(len(targets), cpus)
     # A thread can only have been started if threading was imported.
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
     if count < 2 or not hasattr(os, "fork") or threaded:
-        return _check_part(instance, targets, seed, options)
+        return _check_part(targets, seed, options)
     import pickle
     import signal
 
-    def held():
-        # Signals wait while a child is forked and registered, reaped and
-        # forgotten, or killed: an interrupt inside those steps would leave
-        # a child unowned, or run the caller's code in the child.
-        return signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-
     bounds = [len(targets) * i // count for i in range(count + 1)]
-    children = {}  # pid -> (read end of its pipe, its trials)
+    children = []  # (pid, read end of its pipe, its trials), in part order
+    payloads: list[bytes] = []
+    # Signals wait while the children are forked and registered, and again
+    # while they are killed and reaped: an interrupt inside those steps
+    # would leave a child unowned, or run the caller's code in a child.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            mask = held()
+            read_fd, write_fd = os.pipe()
             try:
-                read_fd, write_fd = os.pipe()
                 pid = os.fork()
-                if pid == 0:
-                    # The child never returns into the caller: os._exit skips
-                    # the caller's code, its atexit hooks and its unflushed
-                    # buffers.
-                    code = 1
-                    try:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        try:
-                            payload = (True, _check_part(instance, targets[lo:hi], seed, options))
-                        except Exception as exc:
-                            payload = (False, exc)
-                        with os.fdopen(write_fd, "wb") as out:
-                            pickle.dump(payload, out)
-                        code = 0
-                    finally:
-                        os._exit(code)
+            except BaseException:
+                os.close(read_fd)
                 os.close(write_fd)
-                children[pid] = (os.fdopen(read_fd, "rb"), f"{lo}-{hi - 1}")
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        results, notes = _check_part(instance, targets[:bounds[1]], seed, options)
-        for pid, (pipe, trials) in list(children.items()):
-            with pipe:
-                data = pipe.read()
-            mask = held()
-            try:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[pid]
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            if code:
-                how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise ChildProcessError(
-                    f"the verify part of trials {trials} ended with {how} before sending its results"
-                )
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results += value[0]
-            notes += value[1]
+                raise
+            if pid == 0:
+                # The child never returns into the caller: os._exit skips
+                # the caller's code, its atexit hooks and its unflushed
+                # buffers.
+                code = 1
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    try:
+                        payload = (True, _check_part(targets[lo:hi], seed, options))
+                    except Exception as exc:
+                        payload = (False, exc)
+                    with os.fdopen(write_fd, "wb") as out:
+                        pickle.dump(payload, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), f"{lo}-{hi - 1}"))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        results, notes = _check_part(targets[:bounds[1]], seed, options)
+        payloads = [pipe.read() for _, pipe, _ in children]
     finally:
         # An error or interrupt leaves no child behind, even one blocked on
-        # a full pipe.
-        mask = held()
+        # a full pipe; a child that sent all its bytes is left to exit.
+        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
         try:
-            for pid, (pipe, _) in children.items():
+            for pid, pipe, _ in children:
                 pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                if len(payloads) < len(children):
+                    os.kill(pid, signal.SIGKILL)
+            statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    for (_, _, trials), status, data in zip(children, statuses, payloads):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(
+                f"the verify part of trials {trials} ended with {how} before sending its results"
+            )
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results += value[0]
+        notes += value[1]
     return results, notes
 
 
@@ -450,12 +442,16 @@ def run_verify_suite(
         problems = validate(instance)
         if problems:
             raise ValueError("instance is invalid: " + "; ".join(problems))
-        targets = [(None, master.getrandbits(64))]
+        try:
+            results = _instance_checks(instance, seed, None, options, master.getrandbits(64))
+        except EnumerationLimitError as exc:
+            return VerificationReport((), (f"single instance: {exc}",))
+        notes: list[str] = []
     else:
         targets = [(trial, master.getrandbits(64)) for trial in range(options.trials)]
-    results, notes = _check_parts(instance, targets, seed, options)
-
-    results.sort(key=lambda r: (r.check_name, -1 if r.trial is None else r.trial))
+        results, notes = _check_parts(targets, seed, options)
+    # A stable sort keeps each check's results in the trial order they arrive in.
+    results.sort(key=lambda r: r.check_name)
     return VerificationReport(tuple(results), tuple(notes))
 
 

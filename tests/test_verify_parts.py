@@ -3,7 +3,10 @@
 Every test here asks for at most 3 parts, whatever the machine has.
 """
 
+import ast
+import errno
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -24,13 +27,15 @@ from ohmatrix import (
     VerifyOptions,
     format_report,
     run_verify_suite,
+    serialize_instance,
 )
 from ohmatrix.cli import main
 from ohmatrix.signed import OrientedSignedGraph
 
-from helpers import path3
+from helpers import path3, uniform3_edge
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ohmatrix"
 
 
 def _use_cpus(monkeypatch, cpus):
@@ -365,3 +370,129 @@ def test_importing_the_cli_loads_no_pickle():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_forked_child(monkeypatch, capsys):
+    # The second fork of every run fails, after the first child is running.
+    refused = BlockingIOError(errno.EAGAIN, "fork refused")
+    real = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        if len(forks) % 2 == 0:
+            raise refused
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    _use_cpus(monkeypatch, 3)
+    # Where /proc/self/fd is absent every count reads 0.
+    fds = Path("/proc/self/fd")
+    counts = []
+    for _ in range(5):
+        with pytest.raises(BlockingIOError) as raised:
+            run_verify_suite(seed=0, options=NINE)
+        assert raised.value is refused
+        _no_child_left()
+        counts.append(len(list(fds.iterdir())) if fds.is_dir() else 0)
+    assert counts == counts[:1] * 5
+    assert main(["verify", "--seed", "0", "--trials", "9", "--switching-trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refused}\n")
+    _no_child_left()
+
+
+def test_the_callers_signal_mask_is_left_as_it_was_found(monkeypatch):
+    def blocked():
+        return signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    def part_fault():
+        raise ValueError("no instance for trial 7")
+
+    _fault_on_trial(monkeypatch, 0, NINE, 7, part_fault)
+    _use_cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    found = signal.pthread_sigmask(signal.SIG_SETMASK, [signal.SIGUSR1])
+    try:
+        mask = blocked()
+        assert mask == {signal.SIGUSR1}
+        with pytest.raises(ValueError, match="^no instance for trial 7$"):
+            run_verify_suite(seed=0, options=NINE)
+        assert blocked() == mask
+        caller = os.getpid()
+        real = ohmatrix.verify.laplacian
+
+        def laplacian(g):
+            if os.getpid() == caller:
+                raise ValueError("the caller's part failed")
+            return real(g)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ohmatrix.verify, "laplacian", laplacian)
+            with pytest.raises(ValueError, match="^the caller's part failed$"):
+                run_verify_suite(seed=0, options=NINE)
+        assert blocked() == mask
+        assert run_verify_suite(seed=0, options=VerifyOptions(trials=6)).passed()
+        assert blocked() == mask
+        assert len(forks) == 6
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, found)
+    _no_child_left()
+
+
+def test_single_instance_incomplete_never_forks(monkeypatch, tmp_path, capsys):
+    _use_cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    note = "single instance: walk enumeration exceeded the ceiling of 2 walks"
+    report = run_verify_suite(uniform3_edge(), options=VerifyOptions(max_walks=2))
+    assert report.notes == (note,)
+    assert report.results == ()
+    assert not report.passed()
+    path = tmp_path / "uniform3.json"
+    path.write_text(serialize_instance(uniform3_edge()), encoding="utf-8")
+    assert main(["verify", str(path), "--max-walks", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "0 checks: 0 passed, 0 failed\n"
+        "INCOMPLETE: a resource ceiling cut some checks short\n"
+        f"  {note}\n"
+    )
+    assert forks == []
+
+
+def test_children_are_forked_killed_and_reaped_in_one_place():
+    # One fork site and one reap site, both in the parts driver, keep every
+    # child owned from its fork until it is reaped.
+    names = {"fork", "forkpty", "kill", "killpg", "wait", "wait3", "wait4", "waitid",
+             "waitpid"}
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                        or getattr(node, "name", None))
+                if name in names:
+                    sites.append((path.name, getattr(top, "name", None), name))
+    assert sorted(sites) == [("verify.py", "_check_parts", name)
+                             for name in ("fork", "kill", "waitpid")]
+
+
+def test_an_interrupt_lands_while_the_parts_run():
+    # Signals are held only while children are forked or reaped, so an
+    # interrupt during the caller's own part ends the run at once: the
+    # 20,000 trials would take far longer than the bound.
+    proc = _run_script("""
+        import signal
+        import time
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        started = time.monotonic()
+        try:
+            run_verify_suite(seed=0, options=VerifyOptions(trials=20000))
+        except KeyboardInterrupt:
+            print("interrupted", time.monotonic() - started < 10)
+    """)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "interrupted True\n", "")
