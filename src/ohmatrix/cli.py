@@ -42,6 +42,8 @@ from .io import (
 )
 from .verify import VerifyOptions, format_report, run_verify_suite
 
+_MAX_WALKS_HELP = "ceiling on generated walks per search (default %(default)s)"
+
 _MATRIX_BUILDERS = {
     "incidence": incidence_matrix,
     "adjacency": adjacency_matrix,
@@ -151,8 +153,14 @@ def cmd_random(args) -> int:
     if args.bidirected:
         g = random_bidirected_instance(args.seed, args.vertices, args.edges)
     else:
+        defaults = dict(_RANDOM_DEFAULTS)
+        if not args.non_simple:
+            # No simple edge is larger than the vertex count.  The floor keeps
+            # a refusal naming a given size, or the lack of vertices.
+            cap = max(args.vertices, given.get("min_edge_size", 1), 1)
+            defaults["max_edge_size"] = min(defaults["max_edge_size"], cap)
         g = random_instance(args.seed, args.vertices, args.edges, simple=not args.non_simple,
-                            **{**_RANDOM_DEFAULTS, **given})
+                            **{**defaults, **given})
     print(serialize_instance(g), end="")
     return 0
 
@@ -202,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help=f"incidence count (twice the length, at most {INCIDENCE_CAP})")
     p.add_argument("--weak", action="store_true", help="allow immediate returns")
-    p.add_argument("--max-walks", type=int, default=DEFAULT_MAX_WALKS,
-                   help="ceiling on generated walks per search (default %(default)s)")
+    p.add_argument("--max-walks", type=int, default=DEFAULT_MAX_WALKS, help=_MAX_WALKS_HELP)
     p.set_defaults(func=cmd_walks)
 
     p = sub.add_parser("walk-matrix", help="signed net walk counts between anchor families")
@@ -224,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--max-edge-size", type=int, default=argparse.SUPPRESS,
-                   help="largest edge size, not with --bidirected (default 3)")
+                   help="largest edge size, not with --bidirected (default 3, or fewer for a "
+                        "simple instance on fewer vertices)")
     p.add_argument("--min-edge-size", type=int, default=argparse.SUPPRESS,
                    help="smallest edge size, not with --bidirected (default 1)")
     kind = p.add_mutually_exclusive_group()
@@ -239,16 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("instance", nargs="?", default=None,
                    help="optional instance file; otherwise a seeded random family")
-    defaults = VerifyOptions()
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=defaults.trials)
-    p.add_argument("--max-vertices", type=int, default=defaults.max_vertices)
-    p.add_argument("--max-edges", type=int, default=defaults.max_edges)
-    p.add_argument("--max-edge-size", type=int, default=defaults.max_edge_size)
-    p.add_argument("--max-walk-incidences", type=int, default=defaults.max_walk_incidences)
-    p.add_argument("--switching-trials", type=int, default=defaults.switching_trials)
-    p.add_argument("--max-walks", type=int, default=defaults.max_walks,
-                   help="ceiling on generated walks per search (default %(default)s)")
+    for f in fields(VerifyOptions):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default,
+                       help=_MAX_WALKS_HELP if f.name == "max_walks" else None)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -116,29 +116,28 @@ class OrientedHypergraph:
             at_edge[e].append((v, inc.sign, inc))
         return tuple(map(tuple, at_vertex)), tuple(map(tuple, at_edge))
 
+    def _anchor_row(self, label: str, is_vertex: bool):
+        """The ``_walk_tables`` row of vertex or edge ``label``."""
+        index = self.vertex_index if is_vertex else self.edge_index
+        if label not in index:
+            raise ValueError(f"unknown {'vertex' if is_vertex else 'edge'} {label!r}")
+        return self._walk_tables[0 if is_vertex else 1][index[label]]
+
     def incidences_at_vertex(self, vertex: str) -> tuple[Incidence, ...]:
         """All incidences containing ``vertex``, in canonical order."""
-        try:
-            idx = self.vertex_index[vertex]
-        except KeyError:
-            raise ValueError(f"unknown vertex {vertex!r}") from None
-        return tuple(inc for _, _, inc in self._walk_tables[0][idx])
+        return tuple(inc for _, _, inc in self._anchor_row(vertex, True))
 
     def incidences_at_edge(self, edge: str) -> tuple[Incidence, ...]:
         """All incidences containing ``edge``, in canonical order."""
-        try:
-            idx = self.edge_index[edge]
-        except KeyError:
-            raise ValueError(f"unknown edge {edge!r}") from None
-        return tuple(inc for _, _, inc in self._walk_tables[1][idx])
+        return tuple(inc for _, _, inc in self._anchor_row(edge, False))
 
     def degree(self, vertex: str) -> int:
         """Number of incidences containing ``vertex``."""
-        return len(self.incidences_at_vertex(vertex))
+        return len(self._anchor_row(vertex, True))
 
     def edge_size(self, edge: str) -> int:
         """Number of incidences containing ``edge``."""
-        return len(self.incidences_at_edge(edge))
+        return len(self._anchor_row(edge, False))
 
 
 @dataclass(frozen=True)

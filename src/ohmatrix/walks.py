@@ -103,16 +103,33 @@ class WalkCounts:
         return self.positive - self.negative
 
 
-def _anchor_is_vertex(g: OrientedHypergraph, label: str) -> bool:
+def _anchor(g: OrientedHypergraph, label: str) -> tuple[bool, int]:
+    """Whether ``label`` names a vertex, and its position among its kind."""
     if label in g.vertex_index:
-        return True
+        return True, g.vertex_index[label]
     if label in g.edge_index:
-        return False
+        return False, g.edge_index[label]
     raise ValueError(f"unknown anchor label {label!r}")
 
 
-def _require_length(start_is_vertex: bool, end_is_vertex: bool, n: int) -> None:
+def _family(g: OrientedHypergraph, which: str) -> tuple[tuple[str, ...], bool]:
+    if which == "V":
+        return g.vertices, True
+    if which == "E":
+        return g.edges, False
+    raise ValueError(f"anchor family must be 'V' or 'E', got {which!r}")
+
+
+def _require_walks(start_is_vertex: bool, end_is_vertex: bool, n: int, max_walks=None) -> None:
+    """The one check of a walk request: ``n`` incidences between anchors of
+    the given kinds, and for a search (``max_walks`` given) its ceiling."""
     _require_int(n, "incidence count")
+    if max_walks is not None:
+        _require_int(max_walks, "max_walks")
+        if max_walks < 1:
+            raise ValueError(f"max_walks must be at least 1, got {max_walks}")
+        if n > INCIDENCE_CAP:
+            raise ValueError(f"incidence count must be at most {INCIDENCE_CAP}, got {n}")
     if n < 0:
         raise ValueError(f"incidence count must be nonnegative, got {n}")
     if start_is_vertex == end_is_vertex:
@@ -121,15 +138,6 @@ def _require_length(start_is_vertex: bool, end_is_vertex: bool, n: int) -> None:
             raise ValueError(f"walks between two {kind} need an even incidence count, got {n}")
     elif n % 2 == 0:
         raise ValueError(f"walks between a vertex and an edge need an odd incidence count, got {n}")
-
-
-def _require_search(n: int, max_walks: int) -> None:
-    _require_int(n, "incidence count")
-    _require_int(max_walks, "max_walks")
-    if max_walks < 1:
-        raise ValueError(f"max_walks must be at least 1, got {max_walks}")
-    if n > INCIDENCE_CAP:
-        raise ValueError(f"incidence count must be at most {INCIDENCE_CAP}, got {n}")
 
 
 def walk_sign(g: OrientedHypergraph, walk: Walk) -> int:
@@ -147,7 +155,7 @@ def walk_sign(g: OrientedHypergraph, walk: Walk) -> int:
 
 def _check_walk(g: OrientedHypergraph, walk: Walk) -> None:
     anchors, incs = walk.anchors, walk.incidences
-    is_vertex = _anchor_is_vertex(g, anchors[0])
+    is_vertex = _anchor(g, anchors[0])[0]
     for h, inc in enumerate(incs, start=1):
         prev_a, next_a = anchors[h - 1], anchors[h]
         if inc not in g.incidence_set:
@@ -270,11 +278,9 @@ def enumerate_walks(
     their endpoint, raises :class:`EnumerationLimitError`.
     """
     n = half_length_numerator
-    _require_search(n, max_walks)
-    start_is_vertex = _anchor_is_vertex(g, start)
-    end_is_vertex = _anchor_is_vertex(g, end)
-    _require_length(start_is_vertex, end_is_vertex, n)
-    target = (g.vertex_index if end_is_vertex else g.edge_index)[end]
+    start_is_vertex, origin = _anchor(g, start)
+    end_is_vertex, target = _anchor(g, end)
+    _require_walks(start_is_vertex, end_is_vertex, n, max_walks)
     plan = _plan(g, start_is_vertex, n, weak)
     walks: list[Walk] = []
 
@@ -286,8 +292,7 @@ def enumerate_walks(
                                     for h, inc in enumerate(incs)))
                 walks.append(Walk(anchors, incs, weak))
 
-    index = g.vertex_index if start_is_vertex else g.edge_index
-    _search(plan, index[start], n, max_walks, keep)
+    _search(plan, origin, n, max_walks, keep)
     return walks
 
 
@@ -303,21 +308,6 @@ def walk_counts(
     walks = enumerate_walks(g, start, end, half_length_numerator, weak, max_walks)
     positive = sum(1 for w in walks if walk_sign(g, w) == 1)
     return WalkCounts(positive, len(walks) - positive)
-
-
-def _anchor_family(g: OrientedHypergraph, which: str) -> tuple[tuple[str, ...], bool]:
-    if which == "V":
-        return g.vertices, True
-    if which == "E":
-        return g.edges, False
-    raise ValueError(f"anchor family must be 'V' or 'E', got {which!r}")
-
-
-def _matrix_shape(g: OrientedHypergraph, row_anchors: str, col_anchors: str, n: int):
-    row_labels, rows_vertex = _anchor_family(g, row_anchors)
-    col_labels, cols_vertex = _anchor_family(g, col_anchors)
-    _require_length(rows_vertex, cols_vertex, n)
-    return row_labels, col_labels, rows_vertex
 
 
 def oracle_walk_counts(
@@ -336,8 +326,9 @@ def oracle_walk_counts(
     the pair.  ``max_walks`` bounds each search.
     """
     n = half_length_numerator
-    row_labels, col_labels, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
-    _require_search(n, max_walks)
+    row_labels, rows_vertex = _family(g, row_anchors)
+    col_labels, cols_vertex = _family(g, col_anchors)
+    _require_walks(rows_vertex, cols_vertex, n, max_walks)
     plan = _plan(g, rows_vertex, n, weak)
     # Each last row split by sign once: a walk is then one counter increment.
     ends = [
@@ -403,7 +394,8 @@ def walk_matrix(
     # Under the positional rule a walk is n // 2 independent pair steps, plus
     # one free incidence (an entry of H or H^T) when n is odd.
     n = half_length_numerator
-    row_labels, _, rows_vertex = _matrix_shape(g, row_anchors, col_anchors, n)
+    row_labels, rows_vertex = _family(g, row_anchors)
+    _require_walks(rows_vertex, _family(g, col_anchors)[1], n)
     result = None
     if n >= 2:
         result = step = _pair_steps(g, rows_vertex, weak)

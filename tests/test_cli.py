@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ohmatrix import (
     DEFAULT_MAX_WALKS,
     VerifyOptions,
+    is_simple,
     parse_instance,
     random_instance,
     serialize_instance,
@@ -212,6 +213,19 @@ def test_random_infeasible_is_input_error(capsys):
     assert "simple" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vertices", [1, 2])
+def test_random_default_edge_size_fits_fewer_than_three_vertices(vertices, capsys):
+    assert main(["random", "--seed", "1", "--vertices", str(vertices), "--edges", "1"]) == 0
+    g = parse_instance(capsys.readouterr().out)
+    assert len(g.vertices) == vertices and len(g.edges) == 1 and is_simple(g)
+
+
+@pytest.mark.parametrize("extra", [[], ["--min-edge-size", "2"]])
+def test_random_edges_on_zero_vertices_keep_their_error(extra, capsys):
+    assert main(["random", "--seed", "1", "--vertices", "0", "--edges", "1", *extra]) == 2
+    assert capsys.readouterr().err == "error: cannot place edges on zero vertices\n"
+
+
 def test_verify_instance(instance_file, capsys):
     assert main(["verify", instance_file]) == 0
     assert "0 failed" in capsys.readouterr().out
@@ -334,6 +348,11 @@ def test_flag_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["verify"])
     assert VerifyOptions(**{f.name: getattr(args, f.name) for f in fields(VerifyOptions)}) == (
         VerifyOptions()
+    )
+    # verify's options are --seed and one flag per VerifyOptions field.
+    flags = [flag for action in _SUBCOMMANDS["verify"][1] for flag in action.option_strings]
+    assert sorted(flags) == sorted(
+        ["--seed", *("--" + f.name.replace("_", "-") for f in fields(VerifyOptions))]
     )
     args = build_parser().parse_args(["walks", "g.json", "--from", "v1", "--to", "v2", "--n", "2"])
     assert args.max_walks == DEFAULT_MAX_WALKS

@@ -145,6 +145,18 @@ def _edited(edit):
             "incidences[0].k must be at least 1, got 0",
         ),
         (
+            _edited(lambda d: d["incidences"][0].update(k=1.5)),
+            "incidences[0].k must be an integer, got 1.5",
+        ),
+        (
+            _edited(lambda d: d["incidences"][0].update(k=True)),
+            "incidences[0].k must be an integer, got True",
+        ),
+        (
+            _edited(lambda d: d["incidences"][0].update(k="1")),
+            "incidences[0].k must be an integer, got '1'",
+        ),
+        (
             _edited(lambda d: d["vertices"].append(2)),
             "vertices[2] must be a string, got 2",
         ),
@@ -153,8 +165,8 @@ def _edited(edit):
             "vertices must be an array of strings",
         ),
     ],
-    ids=["top-level", "incidences", "record", "missing", "unknown", "v", "e", "k", "vertices",
-         "vertices-array"],
+    ids=["top-level", "incidences", "record", "missing", "unknown", "v", "e", "k", "k-float",
+         "k-bool", "k-string", "vertices", "vertices-array"],
 )
 def test_parse_instance_messages(text, message):
     with pytest.raises(InstanceFormatError) as exc:
@@ -406,3 +418,8 @@ class TestRandomBidirectedInstance:
     def test_rejects_too_many_edges(self):
         with pytest.raises(ValueError, match="at most 3"):
             random_bidirected_instance(0, 3, 4)
+
+    @pytest.mark.parametrize("n_vertices, n_edges", [(-1, 0), (0, -1)])
+    def test_rejects_negative_counts(self, n_vertices, n_edges):
+        with pytest.raises(ValueError, match="^vertex and edge counts must be nonnegative$"):
+            random_bidirected_instance(0, n_vertices, n_edges)

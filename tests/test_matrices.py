@@ -51,7 +51,7 @@ def test_the_walk_oracle_reads_nothing_it_checks():
     assert {"_one_steps", "_pair_steps", "laplacian"} <= builders
     checked = builders | {"_walk_tables", "_canonical_incidences", "incidence_sort_key",
                           "incidences_at_vertex", "incidences_at_edge", "degree",
-                          "edge_size", "walk_matrix"}
+                          "edge_size", "_anchor_row", "walk_matrix"}
     todo = ["_plan", "_search", "_walk_total", "enumerate_walks", "walk_counts",
             "oracle_walk_counts", "oracle_walk_matrix"]
     seen, readers = set(), {}

@@ -274,6 +274,58 @@ class TestWalkMatrix:
         assert tuple(row[2] for row in m.entries) == (0, 0, 0)
 
 
+class TestRequestContract:
+    # Every public walk entry point runs the one request check, so a request
+    # with one fault gets the same message from each of them.
+    @staticmethod
+    def _entry_points(same_kind):
+        g = path3()
+        end, family = ("v2", "V") if same_kind else ("e1", "E")
+        return {
+            "enumerate_walks": lambda n, **kw: enumerate_walks(g, "v1", end, n, **kw),
+            "walk_counts": lambda n, **kw: walk_counts(g, "v1", end, n, **kw),
+            "oracle_walk_counts": lambda n, **kw: oracle_walk_counts(g, "V", family, n, **kw),
+            "oracle_walk_matrix": lambda n, **kw: oracle_walk_matrix(g, "V", family, n, **kw),
+            "walk_matrix": lambda n, **kw: walk_matrix(g, "V", family, n, **kw),
+        }
+
+    @staticmethod
+    def _messages(calls, **request):
+        messages = {}
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call(**request)
+            messages[name] = str(exc.value)
+        return messages
+
+    @pytest.mark.parametrize(
+        "same_kind, n, message",
+        [
+            (True, -2, "incidence count must be nonnegative, got -2"),
+            (True, True, "incidence count must be an integer, got True"),
+            (True, 3, "walks between two vertices need an even incidence count, got 3"),
+            (False, 2, "walks between a vertex and an edge need an odd incidence count, got 2"),
+        ],
+        ids=["negative", "bool", "odd-between-vertices", "even-vertex-to-edge"],
+    )
+    def test_one_fault_one_message_at_every_entry_point(self, same_kind, n, message):
+        calls = self._entry_points(same_kind)
+        assert self._messages(calls, n=n) == dict.fromkeys(calls, message)
+
+    @pytest.mark.parametrize(
+        "request_, message",
+        [
+            ({"n": 2, "max_walks": 0}, "max_walks must be at least 1, got 0"),
+            ({"n": 502}, "incidence count must be at most 500, got 502"),
+        ],
+        ids=["walk-ceiling", "incidence-cap"],
+    )
+    def test_every_search_refuses_past_its_ceilings(self, request_, message):
+        searches = self._entry_points(True)
+        del searches["walk_matrix"]
+        assert self._messages(searches, **request_) == dict.fromkeys(searches, message)
+
+
 FAMILY_PAIRS = [("V", "V", 0), ("V", "E", 1), ("E", "V", 1), ("E", "E", 0)]
 
 
