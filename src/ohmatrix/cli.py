@@ -154,6 +154,8 @@ def cmd_random(args) -> int:
         g = random_bidirected_instance(args.seed, args.vertices, args.edges)
     else:
         defaults = dict(_RANDOM_DEFAULTS)
+        # An absent maximum never falls below the given minimum.
+        defaults["max_edge_size"] = max(defaults["max_edge_size"], given.get("min_edge_size", 1))
         if not args.non_simple:
             # No simple edge is larger than the vertex count.  The floor keeps
             # a refusal naming a given size, or the lack of vertices.
@@ -231,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--max-edge-size", type=int, default=argparse.SUPPRESS,
-                   help="largest edge size, not with --bidirected (default 3, or fewer for a "
-                        "simple instance on fewer vertices)")
+                   help="largest edge size, not with --bidirected (default 3 or --min-edge-size, "
+                        "whichever is larger, or fewer for a simple instance on fewer vertices)")
     p.add_argument("--min-edge-size", type=int, default=argparse.SUPPRESS,
                    help="smallest edge size, not with --bidirected (default 1)")
     kind = p.add_mutually_exclusive_group()

@@ -13,8 +13,8 @@ A failing check always carries a reproducible counterexample: the canonical
 serialization of the instance plus the first differing entries, and the
 seeds that regenerate it.
 
-Family trials run in contiguous parts, one per CPU the process may use
-(``os.sched_getaffinity``): the caller runs the first part and a forked
+Family trials are dealt round-robin to parts, one per CPU the process may
+use (``os.sched_getaffinity``): the caller runs the first part and a forked
 child runs each other one, merged in trial order, so the report does not
 depend on the part count.  Single-instance mode never enters the parts
 driver; ``taskset -c 0`` and a caller with more than one thread run one
@@ -330,16 +330,17 @@ def _check_part(
     part: list[tuple[int, int]],
     seed: int,
     options: VerifyOptions,
-) -> tuple[list[CheckResult], list[str]]:
-    """Results and notes of the ``(trial, master seed)`` family trials in ``part``, in order."""
+) -> tuple[list[CheckResult], list[tuple[int, str]]]:
+    """Results and ``(trial, note)`` pairs of the ``(trial, master seed)``
+    family trials in ``part``, in order."""
     results: list[CheckResult] = []
-    notes: list[str] = []
+    notes: list[tuple[int, str]] = []
     for trial, trial_seed in part:
         g, theta_seed = _family_instance(trial_seed, options)
         try:
             results.extend(_instance_checks(g, seed, trial, options, theta_seed))
         except EnumerationLimitError as exc:
-            notes.append(f"trial {trial}: {exc}")
+            notes.append((trial, f"trial {trial}: {exc}"))
     return results, notes
 
 
@@ -348,26 +349,27 @@ def _check_parts(
     seed: int,
     options: VerifyOptions,
 ) -> tuple[list[CheckResult], list[str]]:
-    """Results and notes of the family trials, in one contiguous part per usable CPU."""
+    """Results and notes of the family trials, dealt round-robin to one part
+    per usable CPU and merged back in trial order."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = min(len(targets), cpus)
     # A thread can only have been started if threading was imported.
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
     if count < 2 or not hasattr(os, "fork") or threaded:
-        return _check_part(targets, seed, options)
+        results, notes = _check_part(targets, seed, options)
+        return results, [note for _, note in notes]
     import pickle
     import signal
 
-    bounds = [len(targets) * i // count for i in range(count + 1)]
-    children = []  # (pid, read end of its pipe, its trials), in part order
+    children = []  # (pid, read end of its pipe, its first trial), in part order
     payloads: list[bytes] = []
     # Signals wait while the children are forked and registered, and again
     # while they are killed and reaped: an interrupt inside those steps
     # would leave a child unowned, or run the caller's code in a child.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        for p in range(1, count):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -383,7 +385,7 @@ def _check_parts(
                 try:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     try:
-                        payload = (True, _check_part(targets[lo:hi], seed, options))
+                        payload = (True, _check_part(targets[p::count], seed, options))
                     except Exception as exc:
                         payload = (False, exc)
                     with os.fdopen(write_fd, "wb") as out:
@@ -392,9 +394,9 @@ def _check_parts(
                 finally:
                     os._exit(code)
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), f"{lo}-{hi - 1}"))
+            children.append((pid, os.fdopen(read_fd, "rb"), targets[p][0]))
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        results, notes = _check_part(targets[:bounds[1]], seed, options)
+        results, notes = _check_part(targets[::count], seed, options)
         payloads = [pipe.read() for _, pipe, _ in children]
     finally:
         # An error or interrupt leaves no child behind, even one blocked on
@@ -408,19 +410,23 @@ def _check_parts(
             statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    for (_, _, trials), status, data in zip(children, statuses, payloads):
+    for (_, _, first), status, data in zip(children, statuses, payloads):
         code = os.waitstatus_to_exitcode(status)
         if code:
             how = f"signal {-code}" if code < 0 else f"exit status {code}"
             raise ChildProcessError(
-                f"the verify part of trials {trials} ended with {how} before sending its results"
+                f"the verify part of trials from {first} in steps of {count} ended with {how}"
+                " before sending its results"
             )
         ok, value = pickle.loads(data)
         if not ok:
             raise value
         results += value[0]
         notes += value[1]
-    return results, notes
+    # Each trial ran in one part, so a stable sort by trial restores the
+    # order one part would have produced.
+    results.sort(key=lambda r: r.trial)
+    return results, [note for _, note in sorted(notes)]
 
 
 def run_verify_suite(

@@ -26,9 +26,10 @@ every walk one by one.  It builds its own per-anchor index from
 ``g.incidences``, sharing neither the cached index that the matrix builders
 it checks read nor that index's sort key.  One
 ceiling, ``max_walks`` on the walks a search generates, keeps each run
-bounded: the search counts its walks before generating any and refuses up
-front when they are too many.  A search also refuses incidence counts above
-``INCIDENCE_CAP``, which keeps its recursion shallow.  Walk matrices are
+bounded: each plan counts every search's walks in one pass before any walk
+is generated, and a search with too many is refused up front.  A search
+also refuses incidence counts above ``INCIDENCE_CAP``, which keeps its
+recursion shallow.  Walk matrices are
 computed in closed form instead, as products of one pair-step matrix (see
 :func:`walk_matrix`), with :func:`oracle_walk_matrix` as their brute-force
 reference; :func:`oracle_walk_counts` gives the same search's counts split
@@ -179,7 +180,9 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     objects unless ``weak``.  ``last[a]`` lists the final steps from a: the
     pair steps for even n, the one-incidence steps ``(end, sign, inc)`` for
     odd n, and the trivial ``(a, 1)`` for n = 0.  Every entry's incidences
-    are its items from index 2 on.
+    are its items from index 2 on.  ``totals[a]`` is the number of walks
+    :func:`_search` generates from a, pulled back through the pair rows
+    once per interior step from the lengths of the last rows.
 
     The rows come from ``g.incidences``, sorted here by the other anchor's
     position and ``mult_index``.  They share neither the cached per-anchor
@@ -209,22 +212,10 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
         last = tuple(((idx, 1),) for idx in range(len(here)))
     else:
         last = here if n % 2 else pairs
-    return pairs, last
-
-
-def _walk_total(plan, start: int, n: int) -> int:
-    """The number of walks :func:`_search` generates from ``start``, counted
-    without generating them: a count per anchor pushed through the pair
-    rows, once per interior step, then each count times its last row."""
-    pairs, last = plan
-    counts = {start: 1}
+    totals = [len(row) for row in last]
     for _ in range((n - 1) // 2):
-        reached: dict[int, int] = {}
-        for idx, k in counts.items():
-            for entry in pairs[idx]:
-                reached[entry[0]] = reached.get(entry[0], 0) + k
-        counts = reached
-    return sum(k * len(last[idx]) for idx, k in counts.items())
+        totals = [sum(totals[entry[0]] for entry in row) for row in pairs]
+    return pairs, last, totals
 
 
 def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
@@ -235,11 +226,11 @@ def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
     and calls ``visit(idx, prefix, sign)`` once per anchor ``idx`` reached,
     where ``prefix`` (the live stack) and ``sign`` cover the interior steps;
     each entry of ``plan``'s last row at ``idx`` completes one walk.  A
-    search whose :func:`_walk_total` is above ``max_walks`` is refused before
-    it generates any walk.
+    search whose plan total is above ``max_walks`` is refused before it
+    generates any walk.
     """
     pairs = plan[0]
-    if _walk_total(plan, start, n) > max_walks:
+    if plan[2][start] > max_walks:
         raise EnumerationLimitError(f"walk enumeration exceeded the ceiling of {max_walks} walks")
     prefix: list[Incidence] = []
 

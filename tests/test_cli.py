@@ -220,6 +220,14 @@ def test_random_default_edge_size_fits_fewer_than_three_vertices(vertices, capsy
     assert len(g.vertices) == vertices and len(g.edges) == 1 and is_simple(g)
 
 
+@pytest.mark.parametrize("extra", [[], ["--non-simple"]])
+def test_random_default_max_edge_size_is_at_least_the_given_minimum(extra, capsys):
+    args = ["random", "--seed", "1", "--vertices", "5", "--edges", "1", "--min-edge-size", "4"]
+    assert main([*args, *extra]) == 0
+    g = parse_instance(capsys.readouterr().out)
+    assert [g.edge_size(e) for e in g.edges] == [4]
+
+
 @pytest.mark.parametrize("extra", [[], ["--min-edge-size", "2"]])
 def test_random_edges_on_zero_vertices_keep_their_error(extra, capsys):
     assert main(["random", "--seed", "1", "--vertices", "0", "--edges", "1", *extra]) == 2

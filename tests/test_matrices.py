@@ -40,9 +40,9 @@ def test_only_the_matrices_module_skips_validation():
 
 
 def test_the_walk_oracle_reads_nothing_it_checks():
-    # The oracle, and every walks.py function it reaches, names neither the
-    # per-anchor index the builders share, nor its sort key, nor what reads
-    # it, nor a matrices function.
+    # The search entry points, and every walks.py function they reach, name
+    # neither the per-anchor index the builders share, nor its sort key, nor
+    # what reads it, nor a matrices function.
     def defs(name):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -52,8 +52,8 @@ def test_the_walk_oracle_reads_nothing_it_checks():
     checked = builders | {"_walk_tables", "_canonical_incidences", "incidence_sort_key",
                           "incidences_at_vertex", "incidences_at_edge", "degree",
                           "edge_size", "_anchor_row", "walk_matrix"}
-    todo = ["_plan", "_search", "_walk_total", "enumerate_walks", "walk_counts",
-            "oracle_walk_counts", "oracle_walk_matrix"]
+    todo = ["enumerate_walks", "walk_counts", "backstep_count", "oracle_walk_counts",
+            "oracle_walk_matrix"]
     seen, readers = set(), {}
     while todo:
         name = todo.pop()
@@ -65,6 +65,7 @@ def test_the_walk_oracle_reads_nothing_it_checks():
         todo.extend(names & walks.keys())
         if names & checked:
             readers[name] = sorted(names & checked)
+    assert {"_plan", "_search", "walk_sign", "_check_walk"} <= seen
     assert readers == {}
 
 

@@ -133,23 +133,24 @@ NINE = VerifyOptions(trials=9, switching_trials=3)
 
 def test_an_error_in_the_last_part_is_raised_by_the_caller(monkeypatch, capsys):
     def fault():
-        raise ValueError("no instance for trial 7")
+        raise ValueError("no instance for trial 8")
 
-    _fault_on_trial(monkeypatch, 0, NINE, 7, fault)
+    _fault_on_trial(monkeypatch, 0, NINE, 8, fault)
     _use_cpus(monkeypatch, 3)
-    with pytest.raises(ValueError, match=r"^no instance for trial 7$"):
+    with pytest.raises(ValueError, match=r"^no instance for trial 8$"):
         run_verify_suite(seed=0, options=NINE)
     _no_child_left()
     assert main(["verify", "--seed", "0", "--trials", "9", "--switching-trials", "3"]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: no instance for trial 7\n")
+    assert (captured.out, captured.err) == ("", "error: no instance for trial 8\n")
     _no_child_left()
 
 
 def test_a_part_that_dies_without_its_results_is_an_error(monkeypatch, capsys):
     _fault_on_trial(monkeypatch, 0, NINE, 7, lambda: os._exit(3))
     _use_cpus(monkeypatch, 3)
-    message = "the verify part of trials 6-8 ended with exit status 3 before sending its results"
+    message = ("the verify part of trials from 1 in steps of 3 ended with exit status 3"
+               " before sending its results")
     with pytest.raises(ChildProcessError, match=f"^{message}$"):
         run_verify_suite(seed=0, options=NINE)
     _no_child_left()
@@ -263,7 +264,8 @@ def test_an_interrupt_as_a_child_is_forked_leaves_no_child(side):
     """)
     first = {
         "caller": "interrupted",
-        "child": "the verify part of trials 3-5 ended with exit status 1 before sending its results",
+        "child": "the verify part of trials from 1 in steps of 2 ended with exit status 1"
+                 " before sending its results",
     }[side]
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{first}\nno child left\n", "")
 
@@ -344,9 +346,9 @@ FAULTS = {
 
 @pytest.mark.parametrize("name", FAULTS)
 def test_a_fault_fails_trials_in_every_part(monkeypatch, name):
-    # With seed 8 every fault above, line_graph's included, reaches trials
-    # on both sides of the boundary at trial 50: so the forked part runs
-    # under the caller's patches.
+    # With seed 8 every fault above, line_graph's included, reaches both
+    # even and odd trials, which two parts deal out between them: so the
+    # forked part runs under the caller's patches.
     owners, corrupt = FAULTS[name]
     real = getattr(owners[0], name)
 
@@ -357,7 +359,7 @@ def test_a_fault_fails_trials_in_every_part(monkeypatch, name):
         monkeypatch.setattr(owner, name, faulty)
     _use_cpus(monkeypatch, 2)
     failed = {r.trial for r in run_verify_suite(seed=8).failures}
-    assert min(failed) < 50 <= max(failed), failed
+    assert {trial % 2 for trial in failed} == {0, 1}, failed
 
 
 def test_importing_the_cli_loads_no_pickle():
