@@ -88,6 +88,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_switch(args) -> int:
+    if args.instance == args.theta == "-":
+        args.usage_error("argument --theta: standard input is already the instance")
     g = _load_instance(args.instance)
     theta = parse_switching(_read_text(args.theta))
     print(serialize_instance(switch(g, theta)), end="")
@@ -139,12 +141,12 @@ def cmd_linegraph(args) -> int:
 
 # The random generator's options that not every kind of instance reads.  They
 # default to absent, so one given where it does not apply is refused; an
-# absent one takes its default here.
-_RANDOM_DEFAULTS = {"max_edge_size": 3, "min_edge_size": 1, "non_simple_rate": 0.3}
+# absent one takes random_instance's default.
+_RANDOM_OPTIONS = ("max_edge_size", "min_edge_size", "non_simple_rate")
 
 
 def cmd_random(args) -> int:
-    given = {name: value for name, value in vars(args).items() if name in _RANDOM_DEFAULTS}
+    given = {name: value for name, value in vars(args).items() if name in _RANDOM_OPTIONS}
     if args.bidirected and given:
         flag = "--" + next(iter(given)).replace("_", "-")
         args.usage_error(f"argument {flag}: not allowed with argument --bidirected")
@@ -153,22 +155,22 @@ def cmd_random(args) -> int:
     if args.bidirected:
         g = random_bidirected_instance(args.seed, args.vertices, args.edges)
     else:
-        defaults = dict(_RANDOM_DEFAULTS)
-        # An absent maximum never falls below the given minimum.
-        defaults["max_edge_size"] = max(defaults["max_edge_size"], given.get("min_edge_size", 1))
-        if not args.non_simple:
-            # No simple edge is larger than the vertex count.  The floor keeps
-            # a refusal naming a given size, or the lack of vertices.
-            cap = max(args.vertices, given.get("min_edge_size", 1), 1)
-            defaults["max_edge_size"] = min(defaults["max_edge_size"], cap)
         g = random_instance(args.seed, args.vertices, args.edges, simple=not args.non_simple,
-                            **{**defaults, **given})
+                            **given)
     print(serialize_instance(g), end="")
     return 0
 
 
+# The VerifyOptions fields that only family mode reads, in field order.
+_FAMILY_ONLY = ("trials", "max_vertices", "max_edges", "max_edge_size")
+
+
 def cmd_verify(args) -> int:
-    options = VerifyOptions(**{f.name: getattr(args, f.name) for f in fields(VerifyOptions)})
+    given = {f.name: getattr(args, f.name) for f in fields(VerifyOptions) if hasattr(args, f.name)}
+    flag = next((name for name in _FAMILY_ONLY if name in given), None)
+    if args.instance and flag:
+        args.usage_error(f"argument --{flag.replace('_', '-')}: not allowed with an instance")
+    options = VerifyOptions(**given)
     instance = _load_instance(args.instance) if args.instance else None
     report = run_verify_suite(instance, seed=args.seed, options=options)
     print(format_report(report), end="")
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("switch", help="apply a vertex switching function")
     _add_instance_argument(p)
     p.add_argument("--theta", required=True, help="JSON file mapping vertices to +1/-1")
-    p.set_defaults(func=cmd_switch)
+    p.set_defaults(func=cmd_switch, usage_error=p.error)
 
     p = sub.add_parser("walks", help="enumerate walks between two anchors")
     _add_instance_argument(p)
@@ -251,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional instance file; otherwise a seeded random family")
     p.add_argument("--seed", type=int, default=0)
     for f in fields(VerifyOptions):
-        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default,
-                       help=_MAX_WALKS_HELP if f.name == "max_walks" else None)
-    p.set_defaults(func=cmd_verify)
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=argparse.SUPPRESS,
+                       help=_MAX_WALKS_HELP % {"default": f.default} if f.name == "max_walks" else None)
+    p.set_defaults(func=cmd_verify, usage_error=p.error)
 
     return parser
 

@@ -172,16 +172,17 @@ def random_instance(
     seed: int,
     n_vertices: int,
     n_edges: int,
-    max_edge_size: int,
+    max_edge_size: int | None = None,
     simple: bool = True,
-    non_simple_rate: float = 0.0,
+    non_simple_rate: float = 0.3,
     min_edge_size: int = 1,
 ) -> OrientedHypergraph:
     """Deterministic random instance; identical arguments give identical output.
 
     Vertices are named v1..vN and edges e1..eM.  Edge sizes are uniform on
-    [min_edge_size, max_edge_size].  With ``simple`` every edge gets
-    distinct member vertices, which requires max_edge_size <= n_vertices.
+    [min_edge_size, max_edge_size]; an absent maximum is 3 (at most
+    n_vertices if ``simple``), raised to min_edge_size.  With ``simple`` every
+    edge gets distinct member vertices, which requires max_edge_size <= n_vertices.
     Otherwise each member slot after the first duplicates one of the edge's
     current members with probability ``non_simple_rate`` (repeated members
     get consecutive mult_index values).  Signs are uniform on +1/-1.
@@ -190,6 +191,8 @@ def random_instance(
         raise ValueError("vertex and edge counts must be nonnegative")
     if not 0.0 <= non_simple_rate <= 1.0:
         raise ValueError(f"non_simple_rate must lie in [0, 1], got {non_simple_rate!r}")
+    if max_edge_size is None:
+        max_edge_size = max(min_edge_size, min(3, n_vertices) if simple else 3)
     if n_edges:
         if min_edge_size < 1 or max_edge_size < min_edge_size:
             raise ValueError("need 1 <= min_edge_size <= max_edge_size")

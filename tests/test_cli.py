@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from ohmatrix import (
     DEFAULT_MAX_WALKS,
+    VerificationReport,
     VerifyOptions,
     is_simple,
     parse_instance,
     random_instance,
     serialize_instance,
 )
+from ohmatrix import cli
 from ohmatrix.cli import build_parser, main
 
 from helpers import path3, two_vertex_edge
@@ -96,6 +98,25 @@ def test_switch(instance_file, tmp_path, capsys):
     g = parse_instance(capsys.readouterr().out)
     signs = {(i.vertex, i.sign) for i in g.incidences}
     assert signs == {("v1", -1), ("v2", 1)}
+
+
+def test_switch_refuses_stdin_as_both_instance_and_theta(instance_file, monkeypatch, capsys):
+    stdin = io.StringIO(serialize_instance(two_vertex_edge()))
+    monkeypatch.setattr("sys.stdin", stdin)
+    with pytest.raises(SystemExit) as exc:
+        main(["switch", "-", "--theta", "-"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(
+        "ohmatrix switch: error: argument --theta: standard input is already the instance"
+    )
+    assert stdin.tell() == 0  # refused before anything was read
+    # The switching alone may come from stdin.
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"v1": -1, "v2": 1}'))
+    assert main(["switch", instance_file, "--theta", "-"]) == 0
+    g = parse_instance(capsys.readouterr().out)
+    assert {(i.vertex, i.sign) for i in g.incidences} == {("v1", -1), ("v2", 1)}
 
 
 def test_switch_with_incomplete_theta_is_input_error(instance_file, tmp_path, capsys):
@@ -234,9 +255,52 @@ def test_random_edges_on_zero_vertices_keep_their_error(extra, capsys):
     assert capsys.readouterr().err == "error: cannot place edges on zero vertices\n"
 
 
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("simple", [True, False], ids=["simple", "non-simple"])
+@pytest.mark.parametrize("min_size", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("vertices", range(6))
+@pytest.mark.parametrize("edges", range(3))
+def test_random_absent_max_edge_size_is_the_generator_rule(capsys, edges, vertices, min_size,
+                                                           simple):
+    # random forwards no maximum of its own; random_instance's rule sets it.
+    argv = ["random", "--seed", "3", "--vertices", str(vertices), "--edges", str(edges)]
+    argv += [] if simple else ["--non-simple"]
+    argv += [] if min_size is None else ["--min-edge-size", str(min_size)]
+    rule = max(min_size or 1, min(3, vertices) if simple else 3)
+    assert _outcome(capsys, argv) == _outcome(capsys, [*argv, "--max-edge-size", str(rule)])
+
+
 def test_verify_instance(instance_file, capsys):
     assert main(["verify", instance_file]) == 0
     assert "0 failed" in capsys.readouterr().out
+
+
+_FAMILY_FLAGS = ["--trials", "--max-vertices", "--max-edges", "--max-edge-size"]
+
+
+@pytest.mark.parametrize("flag", _FAMILY_FLAGS)
+def test_verify_instance_refuses_family_only_flags(instance_file, capsys, flag):
+    # Given after the family-only flags that follow it in field order, the
+    # flag is still the one named.
+    later = _FAMILY_FLAGS[_FAMILY_FLAGS.index(flag) + 1:]
+    flags = [arg for name in (*reversed(later), flag) for arg in (name, "2")]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", instance_file, *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(
+        f"ohmatrix verify: error: argument {flag}: not allowed with an instance"
+    )
+    # A seeded family reads them.
+    assert main(["verify", *flags]) == 0
 
 
 def test_verify_family(capsys):
@@ -352,11 +416,16 @@ def test_verify_zero_size_caps_exit_2(capsys, flag, field):
     assert captured.err.startswith(f"error: {field} must be at least 1, got 0")
 
 
-def test_flag_defaults_are_the_library_defaults():
+def test_flag_defaults_are_the_library_defaults(monkeypatch, capsys):
+    # An absent flag is absent on the namespace too, so the library's own
+    # defaults apply.
     args = build_parser().parse_args(["verify"])
-    assert VerifyOptions(**{f.name: getattr(args, f.name) for f in fields(VerifyOptions)}) == (
-        VerifyOptions()
-    )
+    assert [f.name for f in fields(VerifyOptions) if hasattr(args, f.name)] == []
+    calls = []
+    monkeypatch.setattr(cli, "run_verify_suite",
+                        lambda *a, **kwargs: calls.append(kwargs) or VerificationReport(()))
+    assert main(["verify"]) == 0
+    assert calls == [{"seed": 0, "options": VerifyOptions()}]
     # verify's options are --seed and one flag per VerifyOptions field.
     flags = [flag for action in _SUBCOMMANDS["verify"][1] for flag in action.option_strings]
     assert sorted(flags) == sorted(
@@ -364,6 +433,22 @@ def test_flag_defaults_are_the_library_defaults():
     )
     args = build_parser().parse_args(["walks", "g.json", "--from", "v1", "--to", "v2", "--n", "2"])
     assert args.max_walks == DEFAULT_MAX_WALKS
+    calls = []
+    monkeypatch.setattr(cli, "random_instance",
+                        lambda *a, **kwargs: calls.append(kwargs) or random_instance(*a, **kwargs))
+    assert main(["random", "--seed", "1", "--vertices", "3", "--edges", "1"]) == 0
+    assert calls == [{"simple": True}]
+
+
+def test_no_help_shows_a_suppressed_default():
+    parser = build_parser()
+    helps = [parser.format_help()] + [
+        sub.format_help()
+        for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+    ]
+    assert len(helps) == 10
+    assert not [h for h in helps if "==SUPPRESS==" in h]
 
 
 def test_usage_error_exits_2():

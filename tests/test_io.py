@@ -370,6 +370,23 @@ class TestRandomInstance:
         g = random_instance(2, 6, 4, 3, simple=True, min_edge_size=3)
         assert is_k_uniform(g, 3)
 
+    def test_absent_max_edge_size_is_the_rule(self):
+        # 3, at most the vertex count if simple, and never below the minimum.
+        def outcome(*args, **kwargs):
+            try:
+                return serialize_instance(random_instance(*args, **kwargs))
+            except ValueError as exc:
+                return str(exc)
+
+        for n_vertices in range(6):
+            for min_size in range(1, 6):
+                for simple in (True, False):
+                    rule = max(min_size, min(3, n_vertices) if simple else 3)
+                    kwargs = {"simple": simple, "min_edge_size": min_size}
+                    assert outcome(4, n_vertices, 3, **kwargs) == (
+                        outcome(4, n_vertices, 3, rule, **kwargs)
+                    )
+
     def test_infeasible_parameters(self):
         with pytest.raises(ValueError, match="simple"):
             random_instance(0, 2, 1, 3, simple=True)
