@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .core import incidence_dual, switch, validate
 from .matrices import (
@@ -56,7 +55,8 @@ _MATRIX_BUILDERS = {
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _load_instance(path: str, *, require_valid: bool = True):
@@ -168,10 +168,10 @@ _FAMILY_ONLY = ("trials", "max_vertices", "max_edges", "max_edge_size")
 def cmd_verify(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(VerifyOptions) if hasattr(args, f.name)}
     flag = next((name for name in _FAMILY_ONLY if name in given), None)
-    if args.instance and flag:
+    if args.instance is not None and flag:
         args.usage_error(f"argument --{flag.replace('_', '-')}: not allowed with an instance")
     options = VerifyOptions(**given)
-    instance = _load_instance(args.instance) if args.instance else None
+    instance = None if args.instance is None else _load_instance(args.instance)
     report = run_verify_suite(instance, seed=args.seed, options=options)
     print(format_report(report), end="")
     return 0 if report.passed() else 1

@@ -15,13 +15,13 @@ seeds that regenerate it.
 
 Family trials are dealt round-robin to parts, one per CPU the process may
 use (``os.sched_getaffinity``): the caller runs the first part and a forked
-child runs each other one, merged in trial order, so the report does not
-depend on the part count.  Single-instance mode never enters the parts
-driver; ``taskset -c 0`` and a caller with more than one thread run one
-part in process.  A part's error or death is raised once every part has
-ended; an error in the caller's own part, or an interrupt, kills the other
-parts at once.  An in-process tracer or profiler, and the caller's own
-peak memory, see only the caller's part.
+child runs each other one.  :func:`run_verify_suite` sorts the parts'
+unsorted rows once, so the report does not depend on the part count.
+Single-instance mode never enters the parts driver; ``taskset -c 0`` and a
+caller with more than one thread run one part in process.  A part's error
+or death is raised once every part has ended; an error in the caller's own
+part, or an interrupt, kills the other parts at once.  An in-process tracer
+or profiler, and the caller's own peak memory, see only the caller's part.
 """
 
 from __future__ import annotations
@@ -303,13 +303,18 @@ def _instance_checks(
     trial: int | None,
     options: VerifyOptions,
     theta_seed: int,
-) -> list[CheckResult]:
+) -> tuple[list[CheckResult], list[tuple[int | None, str]]]:
+    """Each check's result on ``g``, or none and a ``(trial, note)`` if a ceiling cut it short."""
     summary = _summary(g, trial)
-    return [
-        CheckResult(name, summary, diff and f"{diff}\ninstance:\n{serialize_instance(g)}",
-                    seed, trial)
-        for name, diff in _identity_diffs(g, options, theta_seed)
-    ]
+    try:
+        return [
+            CheckResult(name, summary, diff and f"{diff}\ninstance:\n{serialize_instance(g)}",
+                        seed, trial)
+            for name, diff in _identity_diffs(g, options, theta_seed)
+        ], []
+    except EnumerationLimitError as exc:
+        where = "single instance" if trial is None else f"trial {trial}"
+        return [], [(trial, f"{where}: {exc}")]
 
 
 def _family_instance(trial_seed: int, options: VerifyOptions) -> tuple[OrientedHypergraph, int]:
@@ -332,15 +337,13 @@ def _check_part(
     options: VerifyOptions,
 ) -> tuple[list[CheckResult], list[tuple[int, str]]]:
     """Results and ``(trial, note)`` pairs of the ``(trial, master seed)``
-    family trials in ``part``, in order."""
-    results: list[CheckResult] = []
-    notes: list[tuple[int, str]] = []
+    family trials in ``part``."""
+    results, notes = [], []
     for trial, trial_seed in part:
         g, theta_seed = _family_instance(trial_seed, options)
-        try:
-            results.extend(_instance_checks(g, seed, trial, options, theta_seed))
-        except EnumerationLimitError as exc:
-            notes.append((trial, f"trial {trial}: {exc}"))
+        trial_results, trial_notes = _instance_checks(g, seed, trial, options, theta_seed)
+        results += trial_results
+        notes += trial_notes
     return results, notes
 
 
@@ -348,17 +351,16 @@ def _check_parts(
     targets: list[tuple[int, int]],
     seed: int,
     options: VerifyOptions,
-) -> tuple[list[CheckResult], list[str]]:
-    """Results and notes of the family trials, dealt round-robin to one part
-    per usable CPU and merged back in trial order."""
+) -> tuple[list[CheckResult], list[tuple[int, str]]]:
+    """Results and ``(trial, note)`` pairs of the family trials, dealt
+    round-robin to one part per usable CPU, in no particular order."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = min(len(targets), cpus)
     # A thread can only have been started if threading was imported.
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
     if count < 2 or not hasattr(os, "fork") or threaded:
-        results, notes = _check_part(targets, seed, options)
-        return results, [note for _, note in notes]
+        return _check_part(targets, seed, options)
     import pickle
     import signal
 
@@ -385,9 +387,9 @@ def _check_parts(
                 try:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     try:
-                        payload = (True, _check_part(targets[p::count], seed, options))
+                        payload = _check_part(targets[p::count], seed, options)
                     except Exception as exc:
-                        payload = (False, exc)
+                        payload = exc
                     with os.fdopen(write_fd, "wb") as out:
                         pickle.dump(payload, out)
                     code = 0
@@ -418,15 +420,12 @@ def _check_parts(
                 f"the verify part of trials from {first} in steps of {count} ended with {how}"
                 " before sending its results"
             )
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        results += value[0]
-        notes += value[1]
-    # Each trial ran in one part, so a stable sort by trial restores the
-    # order one part would have produced.
-    results.sort(key=lambda r: r.trial)
-    return results, [note for _, note in sorted(notes)]
+        payload = pickle.loads(data)
+        if isinstance(payload, Exception):
+            raise payload
+        results += payload[0]
+        notes += payload[1]
+    return results, notes
 
 
 def run_verify_suite(
@@ -448,17 +447,14 @@ def run_verify_suite(
         problems = validate(instance)
         if problems:
             raise ValueError("instance is invalid: " + "; ".join(problems))
-        try:
-            results = _instance_checks(instance, seed, None, options, master.getrandbits(64))
-        except EnumerationLimitError as exc:
-            return VerificationReport((), (f"single instance: {exc}",))
-        notes: list[str] = []
+        results, notes = _instance_checks(instance, seed, None, options, master.getrandbits(64))
     else:
         targets = [(trial, master.getrandbits(64)) for trial in range(options.trials)]
         results, notes = _check_parts(targets, seed, options)
-    # A stable sort keeps each check's results in the trial order they arrive in.
-    results.sort(key=lambda r: r.check_name)
-    return VerificationReport(tuple(results), tuple(notes))
+    # The one place the report is ordered: a check runs once per trial, and
+    # a single instance is the only trial, so (name, trial) is a total order.
+    results.sort(key=lambda r: (r.check_name, r.trial))
+    return VerificationReport(tuple(results), tuple(note for _, note in sorted(notes)))
 
 
 def format_report(report: VerificationReport) -> str:

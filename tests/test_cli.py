@@ -62,6 +62,36 @@ def test_unparseable_file_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_NO_FILE = "[Errno 2] No such file or directory: ''"
+_EMPTY_PATH_CASES = [
+    (["validate", ""], _NO_FILE),
+    (["matrix", "adjacency", ""], _NO_FILE),
+    (["dual", ""], _NO_FILE),
+    (["switch", "", "--theta", "G"], _NO_FILE),
+    (["switch", "G", "--theta", ""], _NO_FILE),
+    (["walks", "", "--from", "v1", "--to", "v2", "--n", "2"], _NO_FILE),
+    (["walk-matrix", "", "--rows", "V", "--cols", "V", "--n", "2"], _NO_FILE),
+    (["linegraph", ""], _NO_FILE),
+    (["verify", ""], _NO_FILE),
+    (["verify", "", "--trials", "7"], "argument --trials: not allowed with an instance"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _EMPTY_PATH_CASES,
+                         ids=["_".join(argv) for argv, _ in _EMPTY_PATH_CASES])
+def test_an_empty_path_is_a_missing_file(instance_file, capsys, argv, message):
+    # An empty path names neither the working directory nor, for verify, a
+    # seeded family; G stands for a valid instance file.
+    argv = [instance_file if arg == "G" else arg for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 def test_deeply_nested_file_exits_2_without_traceback(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000)

@@ -146,6 +146,19 @@ def test_an_error_in_the_last_part_is_raised_by_the_caller(monkeypatch, capsys):
     _no_child_left()
 
 
+def test_an_error_in_a_part_keeps_its_type(monkeypatch):
+    # A part sends back its exception itself, not a subclass or a wrapper.
+    def fault():
+        raise LookupError("no instance for trial 8")
+
+    _fault_on_trial(monkeypatch, 0, NINE, 8, fault)
+    _use_cpus(monkeypatch, 3)
+    with pytest.raises(LookupError, match=r"^no instance for trial 8$") as raised:
+        run_verify_suite(seed=0, options=NINE)
+    assert type(raised.value) is LookupError
+    _no_child_left()
+
+
 def test_a_part_that_dies_without_its_results_is_an_error(monkeypatch, capsys):
     _fault_on_trial(monkeypatch, 0, NINE, 7, lambda: os._exit(3))
     _use_cpus(monkeypatch, 3)
@@ -476,6 +489,25 @@ def test_children_are_forked_killed_and_reaped_in_one_place():
                     sites.append((path.name, getattr(top, "name", None), name))
     assert sorted(sites) == [("verify.py", "_check_parts", name)
                              for name in ("fork", "kill", "waitpid")]
+
+
+def test_notes_are_made_and_the_report_sorted_in_one_place():
+    # A trial cut short becomes a note at one except clause, and only
+    # run_verify_suite sorts, so a part may return its rows in any order.
+    catches, sorts = [], []
+    for top in ast.parse((SRC / "verify.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {getattr(n, "attr", None) or getattr(n, "id", None)
+                          for n in ast.walk(node.type)}
+                if "EnumerationLimitError" in caught:
+                    catches.append(getattr(top, "name", None))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name in ("sort", "sorted"):
+                    sorts.append(getattr(top, "name", None))
+    assert len(catches) == 1
+    assert set(sorts) == {"run_verify_suite"}
 
 
 def test_an_interrupt_lands_while_the_parts_run():
