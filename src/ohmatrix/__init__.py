@@ -11,7 +11,6 @@ from .core import (
     OrientedHypergraph,
     SwitchingFunction,
     incidence_dual,
-    is_k_regular,
     is_k_uniform,
     is_simple,
     switch,
@@ -73,7 +72,6 @@ __all__ = [
     "OrientedHypergraph",
     "SwitchingFunction",
     "incidence_dual",
-    "is_k_regular",
     "is_k_uniform",
     "is_simple",
     "switch",

@@ -210,19 +210,14 @@ def is_simple(g: OrientedHypergraph) -> bool:
 
 
 def is_k_uniform(g: OrientedHypergraph, k: int) -> bool:
-    """True when every edge has exactly ``k`` incidences."""
+    """True when every edge has exactly ``k`` incidences.
+
+    An edgeless instance is k-uniform for every k.
+    """
     _require_int(k, "uniformity parameter")
     if k < 1:
         raise ValueError(f"uniformity parameter must be a positive integer, got {k!r}")
     return all(g.edge_size(e) == k for e in g.edges)
-
-
-def is_k_regular(g: OrientedHypergraph, k: int) -> bool:
-    """True when every vertex has exactly ``k`` incidences."""
-    _require_int(k, "regularity parameter")
-    if k < 0:
-        raise ValueError(f"regularity parameter must be nonnegative, got {k!r}")
-    return all(g.degree(v) == k for v in g.vertices)
 
 
 def incidence_dual(g: OrientedHypergraph) -> OrientedHypergraph:

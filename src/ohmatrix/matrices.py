@@ -164,6 +164,8 @@ class LabeledIntegerMatrix:
         """k-fold product of a square matrix with itself; power(0) is I.
 
         Computed by repeated squaring, in at most 2 log2(k) + 1 products.
+        It is the reference for ``walk_matrix``: ``tests/test_walks.py``,
+        acceptance criterion 1 and the README quickstart compare the two.
         """
         if self.row_labels != self.col_labels:
             raise ValueError("matrix power needs equal row and column labels")

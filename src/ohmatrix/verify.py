@@ -45,6 +45,7 @@ from .matrices import (
     _signed,
     adjacency_matrix,
     degree_matrix,
+    dual_laplacian,
     incidence_matrix,
     laplacian,
 )
@@ -204,12 +205,15 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
     )
     yield "laplacian_decomposition", _matrix_diff("L", lap, "D - A", d - a)
     yield "laplacian_incidence_product", _matrix_diff("L", lap, "H * H^T", h @ ht)
-    yield "dual_laplacian_product", _matrix_diff("L of the dual", laplacian(gd), "H^T * H", hth)
+    yield "dual_laplacian_product", _matrix_diff(
+        "L of the dual", laplacian(gd), "H^T * H", hth
+    ) or _matrix_diff("dual Laplacian", dual_laplacian(g), "H^T * H", hth)
 
+    # A set, not is_k_uniform: that holds for every k on an edgeless instance, which has no k.
     sizes = {g.edge_size(e) for e in g.edges}
     if simple and len(sizes) == 1:
         (k,) = sizes
-        # Also reused by the line-graph checks, which need sizes == {2}.
+        # Both also serve the line-graph checks, which need sizes == {2}.
         a_dual = adjacency_matrix(gd)
         ki = LabeledIntegerMatrix.diagonal(g.edges, [k] * len(g.edges))
         yield "uniform_dual_identity", _matrix_diff(
@@ -291,9 +295,8 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
         yield "line_graph_dual_adjacency", _matrix_diff(
             "A of the line graph", a_line, "A of the dual", a_dual
         )
-        two_i = LabeledIntegerMatrix.diagonal(g.edges, [2] * len(g.edges))
         yield "line_graph_incidence_identity", _matrix_diff(
-            "H^T * H", hth, "2I - A of the line graph", two_i - a_line
+            "H^T * H", hth, "2I - A of the line graph", ki - a_line
         )
 
 

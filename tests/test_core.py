@@ -10,7 +10,6 @@ from ohmatrix import (
     SwitchingFunction,
     adjacency_matrix,
     incidence_dual,
-    is_k_regular,
     is_k_uniform,
     is_simple,
     random_switching,
@@ -118,17 +117,6 @@ class TestPredicates:
                                match=f"^uniformity parameter must be an integer, got {k}$"):
                 is_k_uniform(g, k)
 
-    def test_regular(self):
-        g = two_vertex_edge()
-        assert is_k_regular(g, 1)
-        assert not is_k_regular(g, 2)
-        with pytest.raises(ValueError):
-            is_k_regular(g, -1)
-        for k in (True, 1.0):
-            with pytest.raises(ValueError,
-                               match=f"^regularity parameter must be an integer, got {k}$"):
-                is_k_regular(g, k)
-
     def test_dual_of_uniform_is_regular(self):
         g = OrientedHypergraph(
             ("v1", "v2", "v3", "v4"),
@@ -143,7 +131,8 @@ class TestPredicates:
             ),
         )
         assert is_k_uniform(g, 3)
-        assert is_k_regular(incidence_dual(g), 3)
+        d = incidence_dual(g)
+        assert all(d.degree(v) == 3 for v in d.vertices)
 
 
 class TestDual:

@@ -1,4 +1,5 @@
 import ast
+import operator
 from pathlib import Path
 
 import pytest
@@ -109,8 +110,12 @@ class TestLabeledIntegerMatrix:
     def test_addition_requires_matching_labels(self):
         a = LabeledIntegerMatrix.identity(("x", "y"))
         b = LabeledIntegerMatrix.identity(("x", "z"))
-        with pytest.raises(ValueError, match="labels"):
-            a + b
+        rows_differ = LabeledIntegerMatrix(("x", "z"), ("x", "y"), ((1, 0), (0, 1)))
+        cols_differ = LabeledIntegerMatrix(("x", "y"), ("x", "z"), ((1, 0), (0, 1)))
+        for other in (b, rows_differ, cols_differ):
+            for op in (operator.add, operator.sub):
+                with pytest.raises(ValueError, match="^matrix labels do not match$"):
+                    op(a, other)
         with pytest.raises(TypeError):
             a + 1
 

@@ -349,6 +349,7 @@ FAULTS = {
     "_pair_steps": ((ohmatrix.matrices, ohmatrix.walks), _bump_first_entry),
     "_one_steps": ((ohmatrix.matrices, ohmatrix.walks), _bump_first_entry),
     "_signed": ((ohmatrix.matrices, ohmatrix.verify), _bump_first_entry),
+    "dual_laplacian": ((ohmatrix.matrices, ohmatrix.verify), _bump_first_entry),
     "transpose": ((LabeledIntegerMatrix,), _bump_first_entry),
     "__matmul__": ((LabeledIntegerMatrix,), _bump_first_entry),
     "incidence_dual": ((ohmatrix.core, ohmatrix.verify), _flip_last_sign),

@@ -81,6 +81,15 @@ class TestWalkSign:
         with pytest.raises(ValueError, match="coincide"):
             walk_sign(g, w)
 
+    def test_names_the_later_pair_that_coincides(self):
+        # Incidences 2 and 3 coincide at a vertex, which a strict walk
+        # allows; 3 and 4 coincide at an edge, which it does not.
+        g = two_vertex_edge()
+        first, second = g.incidences
+        w = Walk(("v1", "e1", "v2", "e1", "v2"), (first, second, second, second), weak=False)
+        with pytest.raises(ValueError, match="^incidences 3 and 4 coincide in a non-weak walk$"):
+            walk_sign(g, w)
+
     def test_cross_walk_sign(self):
         g = two_vertex_edge()
         w = Walk(("v1", "e1"), (Incidence("v1", "e1", 1, 1),))
