@@ -8,6 +8,7 @@ closes standard output early (``| head``) ends the command quietly, with 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -101,6 +102,7 @@ def cmd_walks(args) -> int:
     walks = enumerate_walks(g, args.src, args.dst, args.n, args.weak, args.max_walks)
     signs = [walk_sign(g, w) for w in walks]
     positive = signs.count(1)
+    records = {i: _incidence_record(i) for i in g.incidences}
     doc = {
         "from": args.src,
         "to": args.dst,
@@ -113,15 +115,15 @@ def cmd_walks(args) -> int:
             "signed_net": sum(signs),
         },
         "walks": [
-            {
-                "anchors": list(w.anchors),
-                "incidences": [_incidence_record(i) for i in w.incidences],
-                "sign": sign,
-            }
+            {"anchors": w.anchors, "incidences": [records[i] for i in w.incidences], "sign": sign}
             for w, sign in zip(walks, signs)
         ],
     }
-    print(json.dumps(doc, indent=2))
+    # Written in batches of chunks, so the text is never held whole.
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
     return 0
 
 

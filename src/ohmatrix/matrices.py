@@ -272,6 +272,11 @@ def dual_laplacian(g: OrientedHypergraph) -> LabeledIntegerMatrix:
 
 
 def switching_matrix(theta: SwitchingFunction, vertex_order: Iterable[str]) -> LabeledIntegerMatrix:
-    """Diagonal +1/-1 matrix of switching values in the given vertex order."""
+    """Diagonal +1/-1 matrix of switching values in the given vertex order.
+
+    It is the reference for ``_signed``, which verify conjugates by without
+    forming a product: ``tests/test_verify.py`` compares ``_signed`` with
+    ``D^T M D`` and ``D H`` built from this matrix.
+    """
     order = tuple(vertex_order)
     return LabeledIntegerMatrix.diagonal(order, [theta(v) for v in order])

@@ -158,15 +158,11 @@ def _check_walk(g: OrientedHypergraph, walk: Walk) -> None:
     anchors, incs = walk.anchors, walk.incidences
     is_vertex = _anchor(g, anchors[0])[0]
     for h, inc in enumerate(incs, start=1):
-        prev_a, next_a = anchors[h - 1], anchors[h]
         if inc not in g.incidence_set:
             raise ValueError(f"incidence {inc} is not part of the hypergraph")
-        if is_vertex:
-            if inc.vertex != prev_a or inc.edge != next_a:
-                raise ValueError(f"incidence {h} does not join {prev_a!r} to {next_a!r}")
-        else:
-            if inc.edge != prev_a or inc.vertex != next_a:
-                raise ValueError(f"incidence {h} does not join {prev_a!r} to {next_a!r}")
+        joined = (inc.vertex, inc.edge) if is_vertex else (inc.edge, inc.vertex)
+        if joined != anchors[h - 1:h + 1]:
+            raise ValueError(f"incidence {h} does not join {anchors[h - 1]!r} to {anchors[h]!r}")
         if not walk.weak and h % 2 == 0 and inc == incs[h - 2]:
             raise ValueError(f"incidences {h - 1} and {h} coincide in a non-weak walk")
         is_vertex = not is_vertex
@@ -218,38 +214,54 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     return pairs, last, totals
 
 
-def _search(plan, start: int, n: int, max_walks: int, visit) -> None:
+def _search(plan, start: int, n: int, max_walks: int, visit, state) -> None:
     """The one walk search: depth-first over every walk with ``n`` incidences
     from one anchor, in canonical order, whatever the endpoint.
 
-    It recurses once per interior pair step, (n - 1) // 2 of them for n > 0,
-    and calls ``visit(idx, prefix, sign)`` once per anchor ``idx`` reached,
-    where ``prefix`` (the live stack) and ``sign`` cover the interior steps;
-    each entry of ``plan``'s last row at ``idx`` completes one walk.  A
-    search whose plan total is above ``max_walks`` is refused before it
-    generates any walk.
+    A search whose plan total is above ``max_walks`` is refused before it
+    generates any walk.  Otherwise :func:`_descend` takes (n - 1) // 2
+    interior pair steps for n > 0 and calls ``visit(state, idx, prefix,
+    sign)`` once per anchor ``idx`` reached, where ``prefix`` (the live
+    stack) and ``sign`` cover the interior steps; each entry of ``plan``'s
+    last row at ``idx`` completes one walk.
     """
-    pairs = plan[0]
     if plan[2][start] > max_walks:
         raise EnumerationLimitError(f"walk enumeration exceeded the ceiling of {max_walks} walks")
-    prefix: list[Incidence] = []
+    _descend(plan[0], [], visit, state, start, max(0, (n - 1) // 2), 1)
 
-    def descend(idx: int, steps: int, sign: int) -> None:
-        if steps:
-            for target, step_sign, first, second in pairs[idx]:
-                prefix.append(first)
-                prefix.append(second)
-                descend(target, steps - 1, sign * step_sign)
-                del prefix[-2:]
-        else:
-            visit(idx, prefix, sign)
 
-    try:
-        descend(start, max(0, (n - 1) // 2), 1)
-    finally:
-        # descend holds itself in its closure; emptying that cell frees the
-        # search's tables now rather than at the next cyclic collection.
-        del descend
+def _descend(pairs, prefix: list[Incidence], visit, state, idx: int, steps: int, sign: int) -> None:
+    """Every way on from anchor ``idx`` through ``steps`` more pair rows."""
+    if steps:
+        for target, step_sign, first, second in pairs[idx]:
+            prefix.append(first)
+            prefix.append(second)
+            _descend(pairs, prefix, visit, state, target, steps - 1, sign * step_sign)
+            del prefix[-2:]
+    else:
+        visit(state, idx, prefix, sign)
+
+
+def _keep(state, idx: int, prefix: list[Incidence], _sign: int) -> None:
+    """Add to ``found`` the incidences of each walk completed at ``idx`` that
+    ends at ``target``, where ``state`` is ``(last rows, target, found)``."""
+    last, target, found = state
+    for entry in last[idx]:
+        if entry[0] == target:
+            found.append((*prefix, *entry[2:]))
+
+
+def _tally(state, idx: int, _prefix: list[Incidence], sign: int) -> None:
+    """Count each walk completed at ``idx`` at its endpoint, in ``plus`` or
+    ``minus`` by its sign, where ``state`` is ``(ends, plus, minus)``."""
+    ends, plus, minus = state
+    same, flipped = ends[idx]
+    if sign < 0:
+        same, flipped = flipped, same
+    for end in same:
+        plus[end] += 1
+    for end in flipped:
+        minus[end] += 1
 
 
 def enumerate_walks(
@@ -273,18 +285,13 @@ def enumerate_walks(
     end_is_vertex, target = _anchor(g, end)
     _require_walks(start_is_vertex, end_is_vertex, n, max_walks)
     plan = _plan(g, start_is_vertex, n, weak)
-    walks: list[Walk] = []
-
-    def keep(idx: int, prefix: list[Incidence], _sign: int) -> None:
-        for entry in plan[1][idx]:
-            if entry[0] == target:
-                incs = (*prefix, *entry[2:])
-                anchors = (start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
-                                    for h, inc in enumerate(incs)))
-                walks.append(Walk(anchors, incs, weak))
-
-    _search(plan, origin, n, max_walks, keep)
-    return walks
+    found: list[tuple[Incidence, ...]] = []
+    _search(plan, origin, n, max_walks, _keep, (plan[1], target, found))
+    return [
+        Walk((start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
+                       for h, inc in enumerate(incs))), incs, weak)
+        for incs in found
+    ]
 
 
 def walk_counts(
@@ -328,17 +335,7 @@ def oracle_walk_counts(
     positive, negative = [], []
     for start in range(len(row_labels)):
         plus, minus = [0] * len(col_labels), [0] * len(col_labels)
-
-        def tally(idx: int, _prefix: list[Incidence], sign: int) -> None:
-            same, flipped = ends[idx]
-            if sign < 0:
-                same, flipped = flipped, same
-            for end in same:
-                plus[end] += 1
-            for end in flipped:
-                minus[end] += 1
-
-        _search(plan, start, n, max_walks, tally)
+        _search(plan, start, n, max_walks, _tally, (ends, plus, minus))
         positive.append(plus)
         negative.append(minus)
     return (

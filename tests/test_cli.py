@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -168,6 +169,50 @@ def test_walks_weak(instance_file, capsys):
     assert main(["walks", instance_file, "--from", "v1", "--to", "v1", "--n", "2", "--weak"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"]["total"] == 1
+
+
+def test_walks_prints_every_walk_with_its_incidences_and_sign(instance_file, capsys):
+    assert main(["walks", instance_file, "--from", "v1", "--to", "e1", "--n", "3", "--weak"]) == 0
+    v1, v2 = ({"v": v, "e": "e1", "k": 1, "sign": 1} for v in ("v1", "v2"))
+    doc = {
+        "from": "v1",
+        "to": "e1",
+        "half_length_numerator": 3,
+        "weak": True,
+        "counts": {"total": 2, "positive": 0, "negative": 2, "signed_net": -2},
+        "walks": [
+            {"anchors": ["v1", "e1", "v1", "e1"], "incidences": [v1, v1, v1], "sign": -1},
+            {"anchors": ["v1", "e1", "v2", "e1"], "incidences": [v1, v2, v2], "sign": -1},
+        ],
+    }
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+class _CountingSink:
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def test_walks_holds_its_answer_once(instance_file):
+    # Weak walks on the two-vertex edge: 2048 walks, 5.86 MB of JSON.  One
+    # record per incidence of the instance, and the text written as it is
+    # encoded, keep the peak below twice the output.
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["walks", instance_file, "--from", "v1", "--to", "v1", "--n", "24",
+                         "--weak"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 5_857_479
+    assert peak < 2 * sink.size
 
 
 def test_walks_parity_error(instance_file, capsys):

@@ -65,13 +65,19 @@ class TestWalkSign:
         with pytest.raises(ValueError, match="not part"):
             walk_sign(g, w)
 
-    def test_rejects_disconnected_steps(self):
-        g = two_vertex_edge()
-        w = Walk(
-            ("v1", "e1", "v1"),
-            (Incidence("v1", "e1", 1, 1), Incidence("v2", "e1", 1, 1)),
-        )
-        with pytest.raises(ValueError, match="join"):
+    # path3's incidences in order: v1-e1, v2-e1, v2-e2, v3-e2.
+    @pytest.mark.parametrize("anchors, positions, message", [
+        (("v2", "e1", "v2"), (0, 1), "incidence 1 does not join 'v2' to 'e1'"),
+        (("v1", "e2", "v2"), (0, 2), "incidence 1 does not join 'v1' to 'e2'"),
+        (("v1", "e1", "v3"), (0, 1), "incidence 2 does not join 'e1' to 'v3'"),
+        (("e2", "v2", "e2"), (1, 2), "incidence 1 does not join 'e2' to 'v2'"),
+        (("e1", "v2", "e1"), (1, 2), "incidence 2 does not join 'v2' to 'e1'"),
+    ], ids=["after-a-vertex", "to-another-edge", "after-an-edge", "edge-start",
+            "edge-start-after-a-vertex"])
+    def test_rejects_disconnected_steps(self, anchors, positions, message):
+        g = path3()
+        w = Walk(anchors, tuple(g.incidences[p] for p in positions), weak=True)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             walk_sign(g, w)
 
     def test_rejects_pair_reuse_in_strict_walk(self):
@@ -661,7 +667,8 @@ class TestSearch:
             for start in range(len(g.vertices if start_is_vertex else g.edges)):
                 generated = []
                 ohmatrix.walks._search(plan, start, n, 10**9,
-                                       lambda idx, *_: generated.append(len(plan[1][idx])))
+                                       lambda _, idx, *__: generated.append(len(plan[1][idx])),
+                                       None)
                 assert plan[2][start] == sum(generated)
 
     def test_a_search_above_the_ceiling_is_refused_before_its_first_walk(self):
@@ -669,7 +676,7 @@ class TestSearch:
         visits = []
         with pytest.raises(EnumerationLimitError,
                            match="^walk enumeration exceeded the ceiling of 1000 walks$"):
-            ohmatrix.walks._search(plan, 0, 500, 1000, lambda *args: visits.append(args))
+            ohmatrix.walks._search(plan, 0, 500, 1000, lambda *args: visits.append(args), None)
         assert visits == []
 
     @pytest.mark.parametrize("weak", [False, True])
