@@ -27,9 +27,8 @@ from .walks import (
     DEFAULT_MAX_WALKS,
     INCIDENCE_CAP,
     EnumerationLimitError,
-    enumerate_walks,
+    _signed_walks,
     walk_matrix,
-    walk_sign,
 )
 from .io import (
     _incidence_record,
@@ -99,9 +98,8 @@ def cmd_switch(args) -> int:
 
 def cmd_walks(args) -> int:
     g = _load_instance(args.instance)
-    walks = enumerate_walks(g, args.src, args.dst, args.n, args.weak, args.max_walks)
-    signs = [walk_sign(g, w) for w in walks]
-    positive = signs.count(1)
+    walks = _signed_walks(g, args.src, args.dst, args.n, args.weak, args.max_walks)
+    positive = sum(sign == 1 for sign, _ in walks)
     records = {i: _incidence_record(i) for i in g.incidences}
     doc = {
         "from": args.src,
@@ -109,14 +107,14 @@ def cmd_walks(args) -> int:
         "half_length_numerator": args.n,
         "weak": args.weak,
         "counts": {
-            "total": len(signs),
+            "total": len(walks),
             "positive": positive,
-            "negative": len(signs) - positive,
-            "signed_net": sum(signs),
+            "negative": len(walks) - positive,
+            "signed_net": 2 * positive - len(walks),
         },
         "walks": [
             {"anchors": w.anchors, "incidences": [records[i] for i in w.incidences], "sign": sign}
-            for w, sign in zip(walks, signs)
+            for sign, w in walks
         ],
     }
     # Written in batches of chunks, so the text is never held whole.

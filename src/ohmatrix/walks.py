@@ -144,8 +144,8 @@ def _require_walks(start_is_vertex: bool, end_is_vertex: bool, n: int, max_walks
 def walk_sign(g: OrientedHypergraph, walk: Walk) -> int:
     """Sign of a walk: (-1)**(n // 2) times the product of incidence signs.
 
-    The walk is structurally checked against ``g`` first; a malformed walk
-    raises ValueError.
+    For a walk built outside the search, which carries its own signs: the
+    walk is checked against ``g`` first, and a malformed one raises ValueError.
     """
     _check_walk(g, walk)
     prod = 1
@@ -242,13 +242,13 @@ def _descend(pairs, prefix: list[Incidence], visit, state, idx: int, steps: int,
         visit(state, idx, prefix, sign)
 
 
-def _keep(state, idx: int, prefix: list[Incidence], _sign: int) -> None:
-    """Add to ``found`` the incidences of each walk completed at ``idx`` that
-    ends at ``target``, where ``state`` is ``(last rows, target, found)``."""
+def _keep(state, idx: int, prefix: list[Incidence], sign: int) -> None:
+    """Add to ``found`` the sign and incidences of each walk completed at ``idx``
+    that ends at ``target``, where ``state`` is ``(last rows, target, found)``."""
     last, target, found = state
     for entry in last[idx]:
         if entry[0] == target:
-            found.append((*prefix, *entry[2:]))
+            found.append((sign * entry[1], (*prefix, *entry[2:])))
 
 
 def _tally(state, idx: int, _prefix: list[Incidence], sign: int) -> None:
@@ -262,6 +262,21 @@ def _tally(state, idx: int, _prefix: list[Incidence], sign: int) -> None:
         plus[end] += 1
     for end in flipped:
         minus[end] += 1
+
+
+def _signed_walks(g, start: str, end: str, n: int, weak: bool, max_walks: int) -> list:
+    """The walks of :func:`enumerate_walks` as ``(sign, walk)``, signed by the search."""
+    start_is_vertex, origin = _anchor(g, start)
+    end_is_vertex, target = _anchor(g, end)
+    _require_walks(start_is_vertex, end_is_vertex, n, max_walks)
+    plan = _plan(g, start_is_vertex, n, weak)
+    found: list[tuple[int, tuple[Incidence, ...]]] = []
+    _search(plan, origin, n, max_walks, _keep, (plan[1], target, found))
+    return [
+        (sign, Walk((start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
+                              for h, inc in enumerate(incs))), incs, weak))
+        for sign, incs in found
+    ]
 
 
 def enumerate_walks(
@@ -280,18 +295,7 @@ def enumerate_walks(
     A search that would generate more than ``max_walks`` walks, whatever
     their endpoint, raises :class:`EnumerationLimitError`.
     """
-    n = half_length_numerator
-    start_is_vertex, origin = _anchor(g, start)
-    end_is_vertex, target = _anchor(g, end)
-    _require_walks(start_is_vertex, end_is_vertex, n, max_walks)
-    plan = _plan(g, start_is_vertex, n, weak)
-    found: list[tuple[Incidence, ...]] = []
-    _search(plan, origin, n, max_walks, _keep, (plan[1], target, found))
-    return [
-        Walk((start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
-                       for h, inc in enumerate(incs))), incs, weak)
-        for incs in found
-    ]
+    return [w for _, w in _signed_walks(g, start, end, half_length_numerator, weak, max_walks)]
 
 
 def walk_counts(
@@ -302,9 +306,9 @@ def walk_counts(
     weak: bool = False,
     max_walks: int = DEFAULT_MAX_WALKS,
 ) -> WalkCounts:
-    """Totals of :func:`enumerate_walks` output classified by :func:`walk_sign`."""
-    walks = enumerate_walks(g, start, end, half_length_numerator, weak, max_walks)
-    positive = sum(1 for w in walks if walk_sign(g, w) == 1)
+    """Totals of :func:`enumerate_walks` output split by the signs its search carries."""
+    walks = _signed_walks(g, start, end, half_length_numerator, weak, max_walks)
+    positive = sum(sign == 1 for sign, _ in walks)
     return WalkCounts(positive, len(walks) - positive)
 
 

@@ -3,7 +3,8 @@
 Usage: python tests/mutation_sweep.py [MODULE.py ...]
 
 The modules default to ``core.py``, ``matrices.py`` and ``walks.py`` of
-``src/ohmatrix``, and several given modules must share one package.  Every
+``src/ohmatrix``; a name that is not a file is looked up there, and several
+given modules must share one package.  Every
 mutant changes one site inside a function body, under five operators:
 ``+``/``-`` swapped; one of ``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
 ``is``/``is not`` and ``in``/``not in`` swapped; ``and``/``or`` swapped; a
@@ -133,9 +134,12 @@ def _judge(root: str, timeout: float | None) -> tuple[int, str, str]:
 
 
 def main(argv: list[str]) -> int:
-    modules = [Path(arg).resolve() for arg in argv] or [
-        PACKAGE / name for name in ("core.py", "matrices.py", "walks.py")]
+    modules = [(Path(arg) if Path(arg).is_file() else PACKAGE / arg).resolve()
+               for arg in argv or ("core.py", "matrices.py", "walks.py")]
     package = modules[0].parent
+    if not all(module.is_file() for module in modules):
+        print("error: each module must be a file, or a module of src/ohmatrix", file=sys.stderr)
+        return 2
     if any(module.parent != package for module in modules):
         print("error: the modules must share one package", file=sys.stderr)
         return 2

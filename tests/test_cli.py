@@ -26,7 +26,7 @@ from ohmatrix import (
 from ohmatrix import cli
 from ohmatrix.cli import build_parser, main
 
-from helpers import path3, two_vertex_edge
+from helpers import double_incidence, path3, two_vertex_edge
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -183,6 +183,27 @@ def test_walks_prints_every_walk_with_its_incidences_and_sign(instance_file, cap
         "walks": [
             {"anchors": ["v1", "e1", "v1", "e1"], "incidences": [v1, v1, v1], "sign": -1},
             {"anchors": ["v1", "e1", "v2", "e1"], "incidences": [v1, v2, v2], "sign": -1},
+        ],
+    }
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_walks_prints_walks_of_both_signs(tmp_path, capsys):
+    # The two incidences at (v1, e1) have opposite signs, so the four weak
+    # pair steps from v1 back to v1 have signs -1, +1, +1, -1.
+    path = tmp_path / "double.json"
+    path.write_text(serialize_instance(double_incidence()))
+    assert main(["walks", str(path), "--from", "v1", "--to", "v1", "--n", "2", "--weak"]) == 0
+    k1, k2 = ({"v": "v1", "e": "e1", "k": k, "sign": sign} for k, sign in ((1, 1), (2, -1)))
+    doc = {
+        "from": "v1",
+        "to": "v1",
+        "half_length_numerator": 2,
+        "weak": True,
+        "counts": {"total": 4, "positive": 2, "negative": 2, "signed_net": 0},
+        "walks": [
+            {"anchors": ["v1", "e1", "v1"], "incidences": [first, second], "sign": sign}
+            for first, second, sign in ((k1, k1, -1), (k1, k2, 1), (k2, k1, 1), (k2, k2, -1))
         ],
     }
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

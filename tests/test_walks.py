@@ -452,8 +452,8 @@ class TestOracleWalkCounts:
     @given(data=st.data())
     @settings(max_examples=20)
     def test_matches_per_pair_walk_counts(self, simple, data):
-        # walk_counts signs each enumerated walk with walk_sign, so the signs
-        # here are computed independently of the search's running product.
+        # Both searches carry their own signs; each pair's walks are signed
+        # here by walk_sign, independently of the search's running product.
         g = data.draw(instances(max_vertices=4, max_edges=3, simple=simple))
         weak = data.draw(st.booleans())
         for rows, cols, odd in FAMILY_PAIRS:
@@ -461,10 +461,11 @@ class TestOracleWalkCounts:
                 positive, negative = oracle_walk_counts(g, rows, cols, n, weak=weak)
                 for i, a in enumerate(positive.row_labels):
                     for j, b in enumerate(positive.col_labels):
+                        signs = [walk_sign(g, w) for w in enumerate_walks(g, a, b, n, weak=weak)]
+                        expected = (signs.count(1), signs.count(-1))
+                        assert (positive.entries[i][j], negative.entries[i][j]) == expected
                         counts = walk_counts(g, a, b, n, weak=weak)
-                        assert (positive.entries[i][j], negative.entries[i][j]) == (
-                            counts.positive, counts.negative
-                        )
+                        assert (counts.positive, counts.negative) == expected
 
     def test_searches_leave_no_reference_cycles(self):
         # Cyclic garbage waits for the collector, so its size would set the
@@ -635,6 +636,18 @@ class TestSearch:
                 assert enumerate_walks(g, start, end, n, weak=weak) == expected.get(
                     (start, end), []
                 ), (start, end, n)
+
+    @pytest.mark.parametrize("weak", [False, True])
+    @pytest.mark.parametrize("simple", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=15)
+    def test_each_walk_carries_the_sign_walk_sign_gives(self, simple, weak, data):
+        g = data.draw(instances(max_vertices=4, max_edges=3, simple=simple))
+        for rows, cols, odd in FAMILY_PAIRS:
+            starts, ends = (g.vertices if family == "V" else g.edges for family in (rows, cols))
+            for start, end, n in itertools.product(starts, ends, range(odd, 7, 2)):
+                for sign, walk in ohmatrix.walks._signed_walks(g, start, end, n, weak, 10**6):
+                    assert sign == walk_sign(g, walk), (start, end, n, walk)
 
     def test_oracle_calls_no_closed_form_construction(self, monkeypatch):
         g = path3()
