@@ -117,7 +117,8 @@ def cmd_walks(args) -> int:
             for sign, w in walks
         ],
     }
-    # Written in batches of chunks, so the text is never held whole.
+    # Written in batches of chunks: the text is never held whole, and an unbuffered stdout
+    # (PYTHONUNBUFFERED=1) makes one system call per batch, where json.dump makes one per chunk.
     chunks = json.JSONEncoder(indent=2).iterencode(doc)
     while batch := "".join(itertools.islice(chunks, 4096)):
         sys.stdout.write(batch)

@@ -250,7 +250,8 @@ def switch(g: OrientedHypergraph, theta: SwitchingFunction) -> OrientedHypergrap
         vertices=g.vertices,
         edges=g.edges,
         incidences=tuple(
-            Incidence(inc.vertex, inc.edge, inc.mult_index, theta(inc.vertex) * inc.sign)
+            inc if theta(inc.vertex) == 1
+            else Incidence(inc.vertex, inc.edge, inc.mult_index, -inc.sign)
             for inc in g.incidences
         ),
     )

@@ -215,11 +215,10 @@ def _signed(
     return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
 
 
-def _pair_steps(g: OrientedHypergraph, vertex_rows: bool, weak: bool) -> LabeledIntegerMatrix:
-    # Entry (a, b) sums -s1*s2 over the incidence pairs from a, through a
-    # neighbour of the other kind, to b; the two incidences must be distinct
-    # objects unless weak.  That is A (A_dual with edge rows), or -H H^T
-    # (-H^T H) when weak.
+def _pair_steps(g: OrientedHypergraph, vertex_rows: bool, weak: bool, sign=-1) -> LabeledIntegerMatrix:
+    # Entry (a, b) sums sign*s1*s2 over the pairs of incidences, distinct
+    # objects unless weak, from a through a neighbour of the other kind to b.
+    # A, A_dual and the walk steps take sign -1; the Laplacians take +1.
     here, there = g._walk_tables if vertex_rows else g._walk_tables[::-1]
     labels = g.vertices if vertex_rows else g.edges
     acc = [[0] * len(labels) for _ in labels]
@@ -227,7 +226,7 @@ def _pair_steps(g: OrientedHypergraph, vertex_rows: bool, weak: bool) -> Labeled
         for mid, s1, first in steps:
             for target, s2, second in there[mid]:
                 if weak or second is not first:
-                    row[target] -= s1 * s2
+                    row[target] += sign * s1 * s2
     return LabeledIntegerMatrix(labels, labels, acc)
 
 
@@ -263,12 +262,12 @@ def laplacian(g: OrientedHypergraph) -> LabeledIntegerMatrix:
     Entry (v, w) sums sign * sign over the ordered pairs of incidences at v
     and at w inside one edge, the same incidence twice included.
     """
-    return -_pair_steps(g, True, True)
+    return _pair_steps(g, True, True, 1)
 
 
 def dual_laplacian(g: OrientedHypergraph) -> LabeledIntegerMatrix:
     """Edges-by-edges H^T H, which equals the Laplacian of the incidence dual."""
-    return -_pair_steps(g, False, True)
+    return _pair_steps(g, False, True, 1)
 
 
 def switching_matrix(theta: SwitchingFunction, vertex_order: Iterable[str]) -> LabeledIntegerMatrix:

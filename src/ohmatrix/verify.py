@@ -266,11 +266,11 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
             "weak walk matrix at n=2", walk_matrix(g, "V", "V", 2, weak=True), label, weak_counts
         )
 
-    def switching_diffs():
+    if options.switching_trials:
         # Every trial still draws its values, so the draws do not shift; a
         # repeat of a switching already checked would build the same matrices.
         theta_rng = random.Random(theta_seed)
-        checked = set()
+        checked, diff = set(), None
         for _ in range(options.switching_trials):
             values = tuple(theta_rng.choice((1, -1)) for _ in g.vertices)
             if values in checked:
@@ -278,17 +278,16 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
             checked.add(values)
             theta = SwitchingFunction(dict(zip(g.vertices, values)))
             gs = switch(g, theta)
-            for name, left, right in (
-                ("A", adjacency_matrix(gs), _signed(a, values, values)),
-                ("H", incidence_matrix(gs), _signed(h, values)),
-                ("L", laplacian(gs), _signed(lap, values, values)),
-            ):
-                diff = _matrix_diff(f"{name} after switching", left, f"conjugated {name}", right)
-                if diff is not None:
-                    yield f"{diff} [theta={theta.assignment}]"
-
-    if options.switching_trials:
-        yield "switching_conjugation", next(switching_diffs(), None)
+            diff = _matrix_diff(
+                "A after switching", adjacency_matrix(gs), "conjugated A", _signed(a, values, values)
+            ) or _matrix_diff(
+                "H after switching", incidence_matrix(gs), "conjugated H", _signed(h, values)
+            ) or _matrix_diff(
+                "L after switching", laplacian(gs), "conjugated L", _signed(lap, values, values)
+            )
+            if diff:
+                break
+        yield "switching_conjugation", diff and f"{diff} [theta={theta.assignment}]"
 
     if simple and sizes == {2} and underlying_is_simple(s := from_hypergraph(g)):
         a_line = adjacency_matrix(to_hypergraph(line_graph(s)))

@@ -186,6 +186,31 @@ class TestSwitch:
         with pytest.raises(ValueError, match="values"):
             SwitchingFunction({"v1": 0})
 
+    @pytest.mark.parametrize("values", [(1, -1), (-1, 1)])
+    def test_keeps_the_incidences_at_plus_one_vertices_and_negates_the_rest(self, values):
+        # v1 meets e1 twice, so both branches see a repeated (vertex, edge) pair.
+        g = OrientedHypergraph(
+            ("v1", "v2"),
+            ("e1",),
+            (
+                Incidence("v1", "e1", 1, 1),
+                Incidence("v1", "e1", 2, -1),
+                Incidence("v2", "e1", 1, 1),
+            ),
+        )
+        theta = SwitchingFunction(dict(zip(g.vertices, values)))
+        for old, new in zip(g.incidences, switch(g, theta).incidences, strict=True):
+            if theta(old.vertex) == 1:
+                assert new is old
+            else:
+                assert new == Incidence(old.vertex, old.edge, old.mult_index, -old.sign)
+
+    @pytest.mark.parametrize("value", [1, -1])
+    def test_incidence_at_an_undeclared_vertex_is_named(self, value):
+        g = OrientedHypergraph(("v1",), ("e1",), (Incidence("v1", "e1"), Incidence("v9", "e1")))
+        with pytest.raises(ValueError, match="^switching function is undefined on vertex 'v9'$"):
+            switch(g, SwitchingFunction({"v1": value}))
+
     def test_equal_switchings_hash_equal(self):
         a = SwitchingFunction({"v1": 1, "v2": -1})
         b = SwitchingFunction({"v2": -1, "v1": 1})
