@@ -215,7 +215,9 @@ def _signed(
     return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
 
 
-def _pair_steps(g: OrientedHypergraph, vertex_rows: bool, weak: bool, sign=-1) -> LabeledIntegerMatrix:
+def _pair_steps(
+    g: OrientedHypergraph, vertex_rows: bool, weak: bool, sign: int = -1
+) -> LabeledIntegerMatrix:
     # Entry (a, b) sums sign*s1*s2 over the pairs of incidences, distinct
     # objects unless weak, from a through a neighbour of the other kind to b.
     # A, A_dual and the walk steps take sign -1; the Laplacians take +1.

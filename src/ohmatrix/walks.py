@@ -264,17 +264,14 @@ def _tally(state, idx: int, _prefix: list[Incidence], sign: int) -> None:
         minus[end] += 1
 
 
-def _signed_walks(g, start: str, end: str, n: int, weak: bool, max_walks: int, walks=True) -> list:
-    """The walks of :func:`enumerate_walks` as ``(sign, walk)``, signed by the search;
-    without ``walks``, the ``(sign, incidences)`` records it keeps, and no Walk."""
+def _signed_walks(g, start: str, end: str, n: int, weak: bool, max_walks: int) -> list:
+    """The walks of :func:`enumerate_walks` as ``(sign, walk)``, signed by the search."""
     start_is_vertex, origin = _anchor(g, start)
     end_is_vertex, target = _anchor(g, end)
     _require_walks(start_is_vertex, end_is_vertex, n, max_walks)
     plan = _plan(g, start_is_vertex, n, weak)
     found: list[tuple[int, tuple[Incidence, ...]]] = []
     _search(plan, origin, n, max_walks, _keep, (plan[1], target, found))
-    if not walks:
-        return found
     return [
         (sign, Walk((start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
                               for h, inc in enumerate(incs))), incs, weak))
@@ -310,9 +307,9 @@ def walk_counts(
     max_walks: int = DEFAULT_MAX_WALKS,
 ) -> WalkCounts:
     """Totals of :func:`enumerate_walks` output split by the signs its search carries."""
-    found = _signed_walks(g, start, end, half_length_numerator, weak, max_walks, walks=False)
-    positive = sum(sign == 1 for sign, _ in found)
-    return WalkCounts(positive, len(found) - positive)
+    walks = _signed_walks(g, start, end, half_length_numerator, weak, max_walks)
+    positive = sum(sign == 1 for sign, _ in walks)
+    return WalkCounts(positive, len(walks) - positive)
 
 
 def oracle_walk_counts(
