@@ -100,17 +100,13 @@ class OrientedHypergraph:
         return (self.vertex_index[inc.vertex], self.edge_index[inc.edge], inc.mult_index)
 
     @cached_property
-    def _canonical_incidences(self) -> tuple[Incidence, ...]:
-        return tuple(sorted(self.incidences, key=self.incidence_sort_key))
-
-    @cached_property
     def _walk_tables(self):
-        """The one per-anchor index: per declared vertex, then per declared
-        edge, a row of ``(other_index, sign, incidence)`` in canonical order."""
+        """The one per-anchor index: per declared vertex, then per declared edge,
+        a row of ``(other_index, sign, incidence)`` in storage order, for sums and counts."""
         vi, ei = self.vertex_index, self.edge_index
         at_vertex = [[] for _ in self.vertices]
         at_edge = [[] for _ in self.edges]
-        for inc in self._canonical_incidences:
+        for inc in self.incidences:
             v, e = vi[inc.vertex], ei[inc.edge]
             at_vertex[v].append((e, inc.sign, inc))
             at_edge[e].append((v, inc.sign, inc))
@@ -125,11 +121,13 @@ class OrientedHypergraph:
 
     def incidences_at_vertex(self, vertex: str) -> tuple[Incidence, ...]:
         """All incidences containing ``vertex``, in canonical order."""
-        return tuple(inc for _, _, inc in self._anchor_row(vertex, True))
+        row = self._anchor_row(vertex, True)
+        return tuple(sorted((inc for _, _, inc in row), key=self.incidence_sort_key))
 
     def incidences_at_edge(self, edge: str) -> tuple[Incidence, ...]:
         """All incidences containing ``edge``, in canonical order."""
-        return tuple(inc for _, _, inc in self._anchor_row(edge, False))
+        row = self._anchor_row(edge, False)
+        return tuple(sorted((inc for _, _, inc in row), key=self.incidence_sort_key))
 
     def degree(self, vertex: str) -> int:
         """Number of incidences containing ``vertex``."""

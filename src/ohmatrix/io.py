@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from math import comb
 
-from .core import Incidence, OrientedHypergraph, SwitchingFunction, validate
+from .core import Incidence, OrientedHypergraph, SwitchingFunction, _require_int, validate
 from .matrices import LabeledIntegerMatrix
 
 FORMAT_VERSION = 1
@@ -114,11 +114,12 @@ def _incidence_record(i: Incidence) -> dict:
 
 def serialize_instance(g: OrientedHypergraph) -> str:
     """Canonical instance document: incidences sorted by declared-order key."""
+    incidences = sorted(g.incidences, key=g.incidence_sort_key)
     doc = {
         "format_version": FORMAT_VERSION,
         "vertices": list(g.vertices),
         "edges": list(g.edges),
-        "incidences": [_incidence_record(i) for i in g._canonical_incidences],
+        "incidences": [_incidence_record(i) for i in incidences],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -187,12 +188,16 @@ def random_instance(
     current members with probability ``non_simple_rate`` (repeated members
     get consecutive mult_index values).  Signs are uniform on +1/-1.
     """
+    _require_int(n_vertices, "n_vertices")
+    _require_int(n_edges, "n_edges")
+    _require_int(min_edge_size, "min_edge_size")
     if n_vertices < 0 or n_edges < 0:
         raise ValueError("vertex and edge counts must be nonnegative")
     if not 0.0 <= non_simple_rate <= 1.0:
         raise ValueError(f"non_simple_rate must lie in [0, 1], got {non_simple_rate!r}")
     if max_edge_size is None:
         max_edge_size = max(min_edge_size, min(3, n_vertices) if simple else 3)
+    _require_int(max_edge_size, "max_edge_size")
     if n_edges:
         if min_edge_size < 1 or max_edge_size < min_edge_size:
             raise ValueError("need 1 <= min_edge_size <= max_edge_size")
@@ -231,7 +236,6 @@ def random_instance(
             mult[v] += 1
             incidences.append(Incidence(v, e, mult[v], rng.choice((1, -1))))
     g = OrientedHypergraph(vertices, edges, incidences)
-    g = OrientedHypergraph(vertices, edges, g._canonical_incidences)
     problems = validate(g)
     if problems:
         raise RuntimeError("generator produced an invalid instance: " + "; ".join(problems))
@@ -250,6 +254,8 @@ def random_bidirected_instance(seed: int, n_vertices: int, n_edges: int) -> Orie
     Edges are drawn without replacement from the vertex pairs, so the
     result is always convertible to a signed graph and line-graphable.
     """
+    _require_int(n_vertices, "n_vertices")
+    _require_int(n_edges, "n_edges")
     if n_vertices < 0 or n_edges < 0:
         raise ValueError("vertex and edge counts must be nonnegative")
     n_pairs = comb(n_vertices, 2)
@@ -274,5 +280,4 @@ def random_bidirected_instance(seed: int, n_vertices: int, n_edges: int) -> Orie
         b = a + 1 + r - start
         incidences.append(Incidence(f"v{a}", e, 1, rng.choice((1, -1))))
         incidences.append(Incidence(f"v{b}", e, 1, rng.choice((1, -1))))
-    g = OrientedHypergraph(vertices, edges, incidences)
-    return OrientedHypergraph(vertices, edges, g._canonical_incidences)
+    return OrientedHypergraph(vertices, edges, incidences)

@@ -22,14 +22,13 @@ therefore always negative.
 
 Enumeration is exhaustive depth-first search, one level per pair step of
 two incidences, and is intended as a desk-scale oracle; it still generates
-every walk one by one.  It builds its own per-anchor index from
-``g.incidences``, sharing neither the cached index that the matrix builders
-it checks read nor that index's sort key.  One
-ceiling, ``max_walks`` on the walks a search generates, keeps each run
-bounded: each plan counts every search's walks in one pass before any walk
-is generated, and a search with too many is refused up front.  A search
-also refuses incidence counts above ``INCIDENCE_CAP``, which keeps its
-recursion shallow.  Walk matrices are
+every walk one by one.  It builds and sorts its own per-anchor index from
+``g.incidences``, reading neither the unsorted index that the matrix builders
+it checks share nor ``g.incidence_sort_key``.  One ceiling, ``max_walks`` on
+the walks a search generates, keeps each run bounded: each plan counts every
+search's walks in one pass before any walk is generated, and a search with
+too many is refused up front.  A search also refuses incidence counts above
+``INCIDENCE_CAP``, which keeps its recursion shallow.  Walk matrices are
 computed in closed form instead, as products of one pair-step matrix (see
 :func:`walk_matrix`), with :func:`oracle_walk_matrix` as their brute-force
 reference; :func:`oracle_walk_counts` gives the same search's counts split
@@ -181,11 +180,11 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     once per interior step from the lengths of the last rows.
 
     The rows come from ``g.incidences``, sorted here by the other anchor's
-    position and ``mult_index``.  They share neither the cached per-anchor
-    index that the matrix builders and ``degree`` read nor its sort key
-    ``g.incidence_sort_key``, so a fault in either shows up as a mismatch.
-    Both sides still use the label positions ``vertex_index`` and
-    ``edge_index``.
+    position and ``mult_index``: this sort alone gives :func:`enumerate_walks`
+    its canonical order.  The rows read neither the cached, unsorted index
+    that the matrix builders and ``degree`` share nor ``g.incidence_sort_key``,
+    so a fault in either shows up as a mismatch.  Both sides still use the
+    label positions ``vertex_index`` and ``edge_index``.
     """
     at_vertex, at_edge = [[] for _ in g.vertices], [[] for _ in g.edges]
     for inc in g.incidences:

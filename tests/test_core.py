@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,15 +12,25 @@ from ohmatrix import (
     OrientedSignedGraph,
     SwitchingFunction,
     adjacency_matrix,
+    degree_matrix,
+    dual_laplacian,
+    enumerate_walks,
+    format_report,
     incidence_dual,
+    incidence_matrix,
     is_k_uniform,
     is_simple,
+    laplacian,
+    oracle_walk_counts,
     random_switching,
+    run_verify_suite,
+    serialize_instance,
     switch,
     validate,
+    walk_matrix,
 )
 
-from helpers import double_incidence, instances, two_vertex_edge, uniform3_edge
+from helpers import double_incidence, instances, path3, two_vertex_edge, uniform3_edge
 
 
 class TestIncidence:
@@ -240,6 +253,56 @@ def test_equality_ignores_incidence_storage_order():
     assert a == b and hash(a) == hash(b)
     assert a != OrientedHypergraph(("v2", "v1"), ("e1",), a.incidences)
     assert (a == "g") is False
+
+
+def _order_dependent_outputs(g):
+    # Each result that the storage order of g.incidences must leave unchanged.
+    anchors = [(a, True) for a in g.vertices] + [(a, False) for a in g.edges]
+    outputs = [
+        f(g) for f in (incidence_matrix, adjacency_matrix, degree_matrix, laplacian,
+                       dual_laplacian, serialize_instance)
+    ]
+    outputs += [(g.incidences_at_vertex(v), g.degree(v)) for v in g.vertices]
+    outputs += [(g.incidences_at_edge(e), g.edge_size(e)) for e in g.edges]
+    for (rows, rows_vertex), (cols, cols_vertex), n, weak in product(
+        (("V", True), ("E", False)), (("V", True), ("E", False)), range(5), (False, True)
+    ):
+        if n % 2 == (rows_vertex != cols_vertex):
+            outputs += [walk_matrix(g, rows, cols, n, weak),
+                        oracle_walk_counts(g, rows, cols, n, weak)]
+    for (start, start_vertex), (end, end_vertex), n, weak in product(
+        anchors, anchors, range(5), (False, True)
+    ):
+        if n % 2 == (start_vertex != end_vertex):
+            outputs.append(enumerate_walks(g, start, end, n, weak))
+    outputs.append(format_report(run_verify_suite(g, seed=0)))
+    return outputs
+
+
+class TestIncidenceStorageOrder:
+    @given(instances(), st.integers(0, 2**32))
+    def test_no_output_depends_on_it(self, g, seed):
+        shuffled = list(g.incidences)
+        random.Random(seed).shuffle(shuffled)
+        h = OrientedHypergraph(g.vertices, g.edges, shuffled)
+        assert _order_dependent_outputs(h) == _order_dependent_outputs(g)
+
+    def test_only_the_canonical_accessors_and_serialization_sort(self, monkeypatch):
+        # The builders' index is in storage order; canonical order is made
+        # where it is promised, by the declared-order key itself.
+        calls = []
+        key = OrientedHypergraph.incidence_sort_key
+        monkeypatch.setattr(OrientedHypergraph, "incidence_sort_key",
+                            lambda g, inc: calls.append(inc) or key(g, inc))
+        g = path3()
+        for build in (adjacency_matrix, incidence_matrix, degree_matrix, laplacian,
+                      dual_laplacian, lambda g: walk_matrix(g, "V", "V", 4)):
+            build(g)
+        assert calls == []
+        serialize_instance(g)
+        assert len(calls) == len(g.incidences)
+        g.incidences_at_vertex("v2")
+        assert len(calls) == len(g.incidences) + g.degree("v2")
 
 
 class TestIncidenceLookups:

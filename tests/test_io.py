@@ -310,8 +310,7 @@ def _listed_random_instance(seed, n_vertices, n_edges, max_edge_size, non_simple
         for v in members:
             mult[v] += 1
             incidences.append(Incidence(v, e, mult[v], rng.choice((1, -1))))
-    g = OrientedHypergraph(vertices, edges, incidences)
-    return OrientedHypergraph(vertices, edges, g._canonical_incidences)
+    return OrientedHypergraph(vertices, edges, incidences)
 
 
 def _listed_bidirected_instance(seed, n_vertices, n_edges):
@@ -326,8 +325,7 @@ def _listed_bidirected_instance(seed, n_vertices, n_edges):
     for e, (a, b) in zip(edges, chosen):
         incidences.append(Incidence(f"v{a}", e, 1, rng.choice((1, -1))))
         incidences.append(Incidence(f"v{b}", e, 1, rng.choice((1, -1))))
-    g = OrientedHypergraph(vertices, edges, incidences)
-    return OrientedHypergraph(vertices, edges, g._canonical_incidences)
+    return OrientedHypergraph(vertices, edges, incidences)
 
 
 class TestRandomInstance:
@@ -440,3 +438,19 @@ class TestRandomBidirectedInstance:
     def test_rejects_negative_counts(self, n_vertices, n_edges):
         with pytest.raises(ValueError, match="^vertex and edge counts must be nonnegative$"):
             random_bidirected_instance(0, n_vertices, n_edges)
+
+
+@pytest.mark.parametrize("generate, args, kwargs, name", [
+    (random_instance, (0, True, 1), {}, "n_vertices"),
+    (random_instance, (0, 3.0, 2), {}, "n_vertices"),
+    (random_instance, (0, 3, True), {}, "n_edges"),
+    (random_instance, (0, 3, 2, 2.0), {}, "max_edge_size"),
+    (random_instance, (0, 3, 2), {"min_edge_size": 1.0}, "min_edge_size"),
+    (random_instance, (0, 3, 2), {"simple": False, "min_edge_size": True}, "min_edge_size"),
+    (random_bidirected_instance, (0, 3, True), {}, "n_edges"),
+    (random_bidirected_instance, (0, 3.0, 1), {}, "n_vertices"),
+])
+def test_generators_refuse_counts_that_are_not_int(generate, args, kwargs, name):
+    # As every other count in the library: a bool or a float is no count.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        generate(*args, **kwargs)
