@@ -12,7 +12,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import fields
 
 from .core import incidence_dual, switch, validate
 from .matrices import (
@@ -22,7 +21,6 @@ from .matrices import (
     incidence_matrix,
     laplacian,
 )
-from .signed import from_hypergraph, line_graph, to_hypergraph
 from .walks import (
     DEFAULT_MAX_WALKS,
     INCIDENCE_CAP,
@@ -39,7 +37,6 @@ from .io import (
     serialize_instance,
     serialize_matrix,
 )
-from .verify import VerifyOptions, format_report, run_verify_suite
 
 _MAX_WALKS_HELP = "ceiling on generated walks per search (default %(default)s)"
 
@@ -134,6 +131,8 @@ def cmd_walk_matrix(args) -> int:
 
 
 def cmd_linegraph(args) -> int:
+    from .signed import from_hypergraph, line_graph, to_hypergraph
+
     g = _load_instance(args.instance)
     lam = line_graph(from_hypergraph(g))
     print(serialize_instance(to_hypergraph(lam)), end="")
@@ -162,12 +161,17 @@ def cmd_random(args) -> int:
     return 0
 
 
-# The VerifyOptions fields that only family mode reads, in field order.
+# The VerifyOptions fields that only family mode reads, in field order, and
+# all of its fields, one verify flag each.  Named here, so that building the
+# parser does not load the verify suite.
 _FAMILY_ONLY = ("trials", "max_vertices", "max_edges", "max_edge_size")
+_VERIFY_OPTIONS = (*_FAMILY_ONLY, "max_walk_incidences", "switching_trials", "max_walks")
 
 
 def cmd_verify(args) -> int:
-    given = {f.name: getattr(args, f.name) for f in fields(VerifyOptions) if hasattr(args, f.name)}
+    from .verify import VerifyOptions, format_report, run_verify_suite
+
+    given = {name: getattr(args, name) for name in _VERIFY_OPTIONS if hasattr(args, name)}
     flag = next((name for name in _FAMILY_ONLY if name in given), None)
     if args.instance is not None and flag:
         args.usage_error(f"argument --{flag.replace('_', '-')}: not allowed with an instance")
@@ -253,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", nargs="?", default=None,
                    help="optional instance file; otherwise a seeded random family")
     p.add_argument("--seed", type=int, default=0)
-    for f in fields(VerifyOptions):
-        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=argparse.SUPPRESS,
-                       help=_MAX_WALKS_HELP % {"default": f.default} if f.name == "max_walks" else None)
+    for name in _VERIFY_OPTIONS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS,
+                       help=_MAX_WALKS_HELP % {"default": DEFAULT_MAX_WALKS}
+                       if name == "max_walks" else None)
     p.set_defaults(func=cmd_verify, usage_error=p.error)
 
     return parser

@@ -14,7 +14,8 @@ module is the only one that loops over stored rows or builds a matrix
 without validating it: ``+`` and ``-`` share one entrywise kernel, and
 ``_signed`` gives ``D_r M D_c`` (or ``D_r M``) for diagonal +1/-1 sign
 matrices entry by entry, for unary minus and for the switching check in
-``verify``.
+``verify``.  ``_pushed`` gives ``step^k start`` for ``walk_matrix`` without
+products, each row of the running product packed into one int.
 
 ``H``, ``A``, both Laplacians and the walk steps come from two constructions
 over the incidence tables, one-incidence and pair steps, so ``L = D - A``
@@ -23,6 +24,7 @@ and ``L = H H^T`` compare independent computations.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, neg, sub
@@ -120,7 +122,8 @@ class LabeledIntegerMatrix:
     @cached_property
     def _nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         # Each row's nonzero (column, value) pairs, derived once per matrix
-        # for the products that take it as their right factor.
+        # for the products that take it as their right factor and the pushes
+        # through it.
         return tuple(tuple((j, b) for j, b in enumerate(row) if b) for row in self.entries)
 
     def _entrywise(self, other: "LabeledIntegerMatrix", op) -> "LabeledIntegerMatrix":
@@ -180,6 +183,54 @@ class LabeledIntegerMatrix:
             if k:
                 square = square @ square
         return result
+
+
+# The field widths that memoryview.cast reads as signed ints, by format code.
+_CAST_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _row_norm(sparse_rows) -> int:
+    # The largest absolute row sum of a matrix given by its nonzero rows:
+    # no entry of m x exceeds it times max |x|.
+    return max((sum(abs(b) for _, b in terms) for terms in sparse_rows), default=0)
+
+
+def _pushed(
+    step: LabeledIntegerMatrix, k: int, start: LabeledIntegerMatrix | None
+) -> LabeledIntegerMatrix:
+    # step^k start without products, or step^k when start is None.
+    # Kronecker substitution: each row of the running product is one int
+    # whose w-bit fields are its entries, so a push, row'_a = sum of
+    # step[a][t] * row_t, is one big-int multiply-add per nonzero of step.
+    # Packing is linear, so only the answer's entries need to fit a field,
+    # and ||step||^k ||start|| bounds them.  A field is read back by adding
+    # 2^(w-1) to every field, XOR-ing it back off, and reading w-bit two's
+    # complement.
+    if start is None:
+        if k == 0:
+            return LabeledIntegerMatrix.identity(step.row_labels)
+        start, k = step, k - 1
+    if k == 0:
+        return start
+    cols, steps = start.col_labels, step._nonzero_rows
+    bits = (_row_norm(steps) ** k * _row_norm(start._nonzero_rows)).bit_length() + 1
+    width = next((w for w in _CAST_FORMATS if w >= bits), -(-bits // 8) * 8)
+    rows = [sum(b << width * j for j, b in terms) for terms in start._nonzero_rows]
+    for _ in range(k):
+        rows = [sum([b * rows[t] for t, b in terms]) for terms in steps]
+    size, order, fmt = width // 8, sys.byteorder, _CAST_FORMATS.get(width)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * len(cols), "little")
+    entries = []
+    for packed in rows:
+        data = ((packed + bias) ^ bias).to_bytes(size * len(cols), order)
+        if fmt:
+            fields = memoryview(data).cast(fmt).tolist()
+        else:
+            fields = [int.from_bytes(data[i:i + size], order, signed=True)
+                      for i in range(0, len(data), size)]
+        # Native order puts the first field last on a big-endian machine.
+        entries.append(tuple(fields) if order == "little" else tuple(reversed(fields)))
+    return LabeledIntegerMatrix._trusted(step.row_labels, cols, tuple(entries))
 
 
 def _one_steps(g: OrientedHypergraph, vertex_rows: bool) -> LabeledIntegerMatrix:

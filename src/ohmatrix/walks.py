@@ -29,7 +29,7 @@ the walks a search generates, keeps each run bounded: each plan counts every
 search's walks in one pass before any walk is generated, and a search with
 too many is refused up front.  A search also refuses incidence counts above
 ``INCIDENCE_CAP``, which keeps its recursion shallow.  Walk matrices are
-computed in closed form instead, as products of one pair-step matrix (see
+computed in closed form instead, as powers of one pair-step matrix (see
 :func:`walk_matrix`), with :func:`oracle_walk_matrix` as their brute-force
 reference; :func:`oracle_walk_counts` gives the same search's counts split
 by sign.
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Incidence, OrientedHypergraph, _require_int
-from .matrices import LabeledIntegerMatrix, _one_steps, _pair_steps
+from .matrices import LabeledIntegerMatrix, _one_steps, _pair_steps, _pushed
 
 
 # Largest incidence count a walk search accepts.  The search recurses about
@@ -380,22 +380,20 @@ def walk_matrix(
     form, with no walk ceiling: ``W(V,V,2k) = A^k``, ``W(V,E,2k+1) = A^k H``,
     ``W(E,V,2k+1) = A_dual^k H^T`` and ``W(E,E,2k) = A_dual^k``.  With
     ``weak``, weak walks are counted instead: the same forms with ``A``
-    replaced by ``-H H^T`` and ``A_dual`` by ``-H^T H``.
+    replaced by ``-H H^T`` and ``A_dual`` by ``-H^T H``.  The rows of ``H``
+    or ``H^T``, or for even ``n`` of the pair-step matrix itself, are pushed
+    through the pair-step matrix, each row packed into one integer; no
+    matrix product is formed.
     """
     # Under the positional rule a walk is n // 2 independent pair steps, plus
     # one free incidence (an entry of H or H^T) when n is odd.
     n = half_length_numerator
     row_labels, rows_vertex = _family(g, row_anchors)
     _require_walks(rows_vertex, _family(g, col_anchors)[1], n)
-    result = None
-    if n >= 2:
-        result = step = _pair_steps(g, rows_vertex, weak)
-        for _ in range(n // 2 - 1):
-            result = result @ step
-    if n % 2:
-        tail = _one_steps(g, rows_vertex)
-        result = tail if result is None else result @ tail
-    return LabeledIntegerMatrix.identity(row_labels) if result is None else result
+    tail = _one_steps(g, rows_vertex) if n % 2 else None
+    if n < 2:
+        return LabeledIntegerMatrix.identity(row_labels) if tail is None else tail
+    return _pushed(_pair_steps(g, rows_vertex, weak), n // 2, tail)
 
 
 def backstep_count(g: OrientedHypergraph, vertex: str) -> int:

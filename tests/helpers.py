@@ -1,5 +1,6 @@
 """Hand-built fixture instances and hypothesis strategies shared by the suite."""
 
+from hypothesis import example
 from hypothesis import strategies as st
 
 from ohmatrix import Incidence, OrientedHypergraph, random_instance
@@ -50,14 +51,27 @@ def path3() -> OrientedHypergraph:
     )
 
 
+# The instances without incidences, which instances() never draws: every
+# test over it takes them as explicit examples through with_edge_cases.
+EMPTY = OrientedHypergraph((), (), ())
+EDGELESS = OrientedHypergraph(("v1", "v2", "v3"), (), ())
+
+
+def with_edge_cases(*rest):
+    """Add the empty and the edgeless instance as ``@example``s of a test
+    over ``instances()``, each followed by the other arguments ``rest``."""
+    def add(test):
+        return example(EMPTY, *rest)(example(EDGELESS, *rest)(test))
+    return add
+
+
 @st.composite
-def instances(draw, max_vertices=6, max_edges=5, max_edge_size=3, simple=None, min_vertices=0):
-    """Valid random instances driven by the deterministic generator."""
+def instances(draw, max_vertices=6, max_edges=5, max_edge_size=3, simple=None, min_vertices=1):
+    """Valid random instances with at least one incidence, driven by the
+    deterministic generator."""
     nv = draw(st.integers(min_vertices, max_vertices))
-    ne = draw(st.integers(0, max_edges)) if nv else 0
+    ne = draw(st.integers(1, max_edges))
     seed = draw(st.integers(0, 2**48))
-    if ne == 0:
-        return random_instance(seed, nv, 0, 1, simple=True)
     simple_flag = draw(st.booleans()) if simple is None else simple
     if simple_flag:
         mes = draw(st.integers(1, min(max_edge_size, nv)))

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ohmatrix
+import ohmatrix.verify
 from ohmatrix import (
     DEFAULT_MAX_WALKS,
     VerificationReport,
@@ -518,15 +520,28 @@ def test_flag_defaults_are_the_library_defaults(monkeypatch, capsys):
     args = build_parser().parse_args(["verify"])
     assert [f.name for f in fields(VerifyOptions) if hasattr(args, f.name)] == []
     calls = []
-    monkeypatch.setattr(cli, "run_verify_suite",
+    monkeypatch.setattr(ohmatrix.verify, "run_verify_suite",
                         lambda *a, **kwargs: calls.append(kwargs) or VerificationReport(()))
     assert main(["verify"]) == 0
     assert calls == [{"seed": 0, "options": VerifyOptions()}]
-    # verify's options are --seed and one flag per VerifyOptions field.
-    flags = [flag for action in _SUBCOMMANDS["verify"][1] for flag in action.option_strings]
-    assert sorted(flags) == sorted(
-        ["--seed", *("--" + f.name.replace("_", "-") for f in fields(VerifyOptions))]
-    )
+    # verify's options are --seed and one flag per VerifyOptions field, in
+    # field order.  The CLI names them itself, so that building the parser
+    # does not load the verify suite; its help is the one the fields give.
+    monkeypatch.setenv("COLUMNS", "80")
+    reference = argparse.ArgumentParser(prog="ohmatrix verify")
+    reference.add_argument("instance", nargs="?", default=None,
+                           help="optional instance file; otherwise a seeded random family")
+    reference.add_argument("--seed", type=int, default=0)
+    for f in fields(VerifyOptions):
+        reference.add_argument("--" + f.name.replace("_", "-"), type=int,
+                               default=argparse.SUPPRESS,
+                               help=cli._MAX_WALKS_HELP % {"default": f.default}
+                               if f.name == "max_walks" else None)
+    verify = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices["verify"]
+    assert verify.format_help() == reference.format_help()
     args = build_parser().parse_args(["walks", "g.json", "--from", "v1", "--to", "v2", "--n", "2"])
     assert args.max_walks == DEFAULT_MAX_WALKS
     calls = []
@@ -534,6 +549,73 @@ def test_flag_defaults_are_the_library_defaults(monkeypatch, capsys):
                         lambda *a, **kwargs: calls.append(kwargs) or random_instance(*a, **kwargs))
     assert main(["random", "--seed", "1", "--vertices", "3", "--edges", "1"]) == 0
     assert calls == [{"simple": True}]
+
+
+# Run in a fresh interpreter: prints the help texts, then which of the
+# modules that only linegraph and verify need each command has loaded.
+_IMPORT_SCOPE = """
+import argparse, contextlib, io, json, sys
+from ohmatrix.cli import build_parser, main
+parser = build_parser()
+helps = [parser.format_help()] + [
+    sub.format_help() for action in parser._actions
+    if isinstance(action, argparse._SubParsersAction) for sub in action.choices.values()
+]
+print(json.dumps(helps))
+path = sys.argv[1]
+for argv in (["walk-matrix", path, "--rows", "V", "--cols", "E", "--n", "3"],
+             ["validate", path], ["matrix", "laplacian", path], ["linegraph", path],
+             ["verify", path, "--switching-trials", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    print(argv[0], sorted(m for m in ("ohmatrix.signed", "ohmatrix.verify") if m in sys.modules))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, monkeypatch):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_instance(path3()))
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCOPE, str(path)], env=env,
+                          capture_output=True, text=True, check=True)
+    helps, *loaded = proc.stdout.splitlines()
+    assert loaded == [
+        "walk-matrix []", "validate []", "matrix []",
+        "linegraph ['ohmatrix.signed']",
+        "verify ['ohmatrix.signed', 'ohmatrix.verify']",
+    ]
+    # Help reads the same before the verify suite is loaded as after.
+    parser = build_parser()
+    assert json.loads(helps) == [parser.format_help()] + [
+        sub.format_help()
+        for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+    ]
+
+
+def test_the_package_exports_each_name_once():
+    assert len(ohmatrix.__all__) == len(set(ohmatrix.__all__)) == 47
+    assert set(ohmatrix.__all__) == {
+        "Incidence", "OrientedHypergraph", "SwitchingFunction", "incidence_dual",
+        "is_k_uniform", "is_simple", "switch", "validate",
+        "LabeledIntegerMatrix", "adjacency_matrix", "degree_matrix", "dual_laplacian",
+        "incidence_matrix", "laplacian", "switching_matrix",
+        "DEFAULT_MAX_WALKS", "EnumerationLimitError", "Walk", "WalkCounts", "backstep_count",
+        "enumerate_walks", "oracle_walk_counts", "oracle_walk_matrix", "walk_counts",
+        "walk_matrix", "walk_sign",
+        "OrientedSignedGraph", "from_hypergraph", "line_graph", "to_hypergraph",
+        "underlying_is_simple",
+        "FORMAT_VERSION", "InstanceFormatError", "parse_instance", "parse_switching",
+        "random_bidirected_instance", "random_instance", "random_switching",
+        "serialize_instance", "serialize_matrix", "serialize_switching",
+        "CheckResult", "VerificationReport", "VerifyOptions", "format_report",
+        "run_verify_suite", "__version__",
+    }
+    for name in ohmatrix.__all__:
+        assert getattr(ohmatrix, name) is not None
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        ohmatrix.nonexistent
 
 
 def test_no_help_shows_a_suppressed_default():

@@ -30,7 +30,9 @@ from ohmatrix import (
     walk_matrix,
 )
 
-from helpers import double_incidence, instances, path3, two_vertex_edge, uniform3_edge
+from helpers import (
+    double_incidence, instances, path3, two_vertex_edge, uniform3_edge, with_edge_cases,
+)
 
 
 class TestIncidence:
@@ -107,6 +109,7 @@ class TestValidate:
         assert validate(OrientedHypergraph((), (), ())) == []
 
     @given(instances())
+    @with_edge_cases()
     def test_generated_instances_are_valid(self, g):
         assert validate(g) == []
 
@@ -163,10 +166,12 @@ class TestDual:
         assert incidence_dual(empty) == empty
 
     @given(instances())
+    @with_edge_cases()
     def test_involution(self, g):
         assert incidence_dual(incidence_dual(g)) == g
 
     @given(instances())
+    @with_edge_cases()
     def test_degree_and_edge_size_swap(self, g):
         d = incidence_dual(g)
         assert all(g.degree(v) == d.edge_size(v) for v in g.vertices)
@@ -231,11 +236,13 @@ class TestSwitch:
         assert len({a, b, SwitchingFunction({"v1": -1, "v2": -1})}) == 2
 
     @given(instances(), st.integers(0, 2**32))
+    @with_edge_cases(0)
     def test_involution(self, g, seed):
         theta = random_switching(seed, g.vertices)
         assert switch(switch(g, theta), theta) == g
 
     @given(instances(), st.integers(0, 2**32))
+    @with_edge_cases(0)
     def test_underlying_structure_preserved(self, g, seed):
         theta = random_switching(seed, g.vertices)
         gs = switch(g, theta)
@@ -281,6 +288,7 @@ def _order_dependent_outputs(g):
 
 class TestIncidenceStorageOrder:
     @given(instances(), st.integers(0, 2**32))
+    @with_edge_cases(0)
     def test_no_output_depends_on_it(self, g, seed):
         shuffled = list(g.incidences)
         random.Random(seed).shuffle(shuffled)

@@ -31,7 +31,7 @@ from ohmatrix import (
     validate,
 )
 
-from helpers import instances, two_vertex_edge
+from helpers import instances, two_vertex_edge, with_edge_cases
 
 MINIMAL_DOC = """
 {
@@ -193,6 +193,7 @@ class TestSerializeInstance:
         assert serialize_instance(parse_instance(text)) == text
 
     @given(instances())
+    @with_edge_cases()
     def test_object_round_trip(self, g):
         assert parse_instance(serialize_instance(g)) == g
 
@@ -266,6 +267,7 @@ class TestMatrixSerialization:
         assert _read_back(serialize_matrix(m, "json"), "json") == m
 
     @given(instances(), st.sampled_from(["csv", "json"]))
+    @with_edge_cases("csv")
     @settings(max_examples=25)
     def test_round_trip_of_built_matrices(self, g, fmt):
         m = adjacency_matrix(g)

@@ -22,8 +22,9 @@ from ohmatrix import (
     switch,
     switching_matrix,
 )
+from ohmatrix.matrices import _pushed
 
-from helpers import double_incidence, instances, two_vertex_edge, uniform3_edge
+from helpers import double_incidence, instances, two_vertex_edge, uniform3_edge, with_edge_cases
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ohmatrix"
 
@@ -266,10 +267,12 @@ class TestIncidenceMatrix:
         assert h.row_labels == ("v1", "v2") and h.col_labels == ("e1",)
 
     @given(instances())
+    @with_edge_cases()
     def test_dual_incidence_matrix_is_transpose(self, g):
         assert incidence_matrix(incidence_dual(g)) == incidence_matrix(g).transpose()
 
     @given(instances())
+    @with_edge_cases()
     def test_row_pair_counts_sum_to_degree(self, g):
         for v in g.vertices:
             assert sum(1 for inc in g.incidences if inc.vertex == v) == g.degree(v)
@@ -294,11 +297,13 @@ class TestAdjacencyMatrix:
         assert adjacency_matrix(double_incidence()).entries == ((2,),)
 
     @given(instances())
+    @with_edge_cases()
     def test_symmetric(self, g):
         a = adjacency_matrix(g)
         assert a == a.transpose()
 
     @given(instances(simple=True))
+    @with_edge_cases()
     def test_simple_diagonal_is_zero(self, g):
         a = adjacency_matrix(g)
         assert all(a.entries[i][i] == 0 for i in range(len(g.vertices)))
@@ -317,15 +322,18 @@ class TestDegreeAndLaplacian:
         assert laplacian(double_incidence()).entries == ((0,),)
 
     @given(instances())
+    @with_edge_cases()
     def test_laplacian_is_incidence_product(self, g):
         h = incidence_matrix(g)
         assert laplacian(g) == h @ h.transpose()
 
     @given(instances())
+    @with_edge_cases()
     def test_laplacian_is_degree_minus_adjacency(self, g):
         assert laplacian(g) == degree_matrix(g) - adjacency_matrix(g)
 
     @given(instances(simple=True))
+    @with_edge_cases()
     def test_simple_laplacian_diagonal_is_degree(self, g):
         lap, d = laplacian(g), degree_matrix(g)
         assert all(
@@ -339,11 +347,13 @@ class TestDualLaplacian:
         assert dual_laplacian(uniform3_edge()).entries == ((3,),)
 
     @given(instances())
+    @with_edge_cases()
     def test_equals_transposed_product(self, g):
         h = incidence_matrix(g)
         assert dual_laplacian(g) == h.transpose() @ h
 
     @given(instances())
+    @with_edge_cases()
     def test_is_the_laplacian_of_the_dual(self, g):
         assert dual_laplacian(g) == laplacian(incidence_dual(g))
 
@@ -382,6 +392,7 @@ class TestSwitchingMatrix:
         assert d @ d == LabeledIntegerMatrix.identity(order)
 
     @given(instances(), st.integers(0, 2**32))
+    @with_edge_cases(0)
     def test_conjugation_identities(self, g, seed):
         theta = random_switching(seed, g.vertices)
         dt = switching_matrix(theta, g.vertices)
@@ -397,3 +408,43 @@ def test_empty_hypergraph_matrices():
     assert adjacency_matrix(g).shape == (0, 0)
     assert laplacian(g).shape == (0, 0)
     assert dual_laplacian(g).shape == (0, 0)
+
+
+class TestPushed:
+    # A step whose entries share one sign and whose absolute row sums are
+    # all r, pushed onto the all-ones column, gives (+-r)^k in every entry:
+    # the kernel's bound itself.
+    # The cases sit at the edges of the 8-, 16-, 32- and 64-bit fields and
+    # beyond them, where fields are read with int.from_bytes.
+    @pytest.mark.parametrize("r, k", [
+        pytest.param(127, 1, id="w8-top"),
+        pytest.param(2, 7, id="w16-bottom"),
+        pytest.param(2**15 - 1, 1, id="w16-top"),
+        pytest.param(2, 15, id="w32-bottom"),
+        pytest.param(2**31 - 1, 1, id="w32-top"),
+        pytest.param(2, 31, id="w64-bottom"),
+        pytest.param(2**63 - 1, 1, id="w64-top"),
+        pytest.param(2, 63, id="w72-bottom"),
+        pytest.param(3, 90, id="w144"),
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_answers_at_the_bound(self, r, k, sign):
+        labels = ("a", "b")
+        off = sign * (r - 1)
+        step = LabeledIntegerMatrix(labels, labels, ((sign, off), (off, sign)))
+        ones = LabeledIntegerMatrix(labels, ("c",), ((1,), (1,)))
+        pushed = _pushed(step, k, ones)
+        assert pushed.entries == (((sign * r) ** k,),) * 2
+        assert pushed == step.power(k) @ ones
+
+    @given(instances(), st.integers(0, 6))
+    @with_edge_cases(2)
+    def test_none_is_the_identity(self, g, k):
+        a = adjacency_matrix(g)
+        assert _pushed(a, k, None) == a.power(k)
+        h = incidence_matrix(g)
+        assert _pushed(a, k, h) == a.power(k) @ h
+
+    def test_one_push_onto_the_identity_is_the_step(self):
+        a = adjacency_matrix(two_vertex_edge())
+        assert _pushed(a, 1, None) is a

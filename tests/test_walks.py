@@ -4,7 +4,7 @@ import gc
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ohmatrix.matrices
@@ -32,7 +32,10 @@ from ohmatrix import (
     walk_sign,
 )
 
-from helpers import double_incidence, instances, path3, two_vertex_edge, uniform3_edge
+from helpers import (
+    double_incidence, instances, path3, two_vertex_edge, uniform3_edge,
+    with_edge_cases,
+)
 
 
 class TestWalkSign:
@@ -225,6 +228,7 @@ class TestWalkCounts:
         assert (counts.total, counts.signed_net) == (8, -2)
 
     @given(instances(max_vertices=4, max_edges=3), st.integers(0, 2))
+    @with_edge_cases(1)
     @settings(max_examples=25)
     def test_matches_walk_matrix_entries(self, g, k):
         m = walk_matrix(g, "V", "V", 2 * k)
@@ -240,19 +244,23 @@ class TestWalkMatrix:
         assert walk_matrix(g, "E", "E", 0).entries == ((1,),)
 
     @given(instances())
+    @with_edge_cases()
     def test_half_step_matrix_is_incidence_matrix(self, g):
         assert walk_matrix(g, "V", "E", 1) == incidence_matrix(g)
 
     @given(instances())
+    @with_edge_cases()
     def test_one_step_matrix_is_adjacency(self, g):
         assert walk_matrix(g, "V", "V", 2) == adjacency_matrix(g)
 
     @given(instances(simple=True), st.integers(0, 3))
+    @with_edge_cases(1)
     @settings(max_examples=25)
     def test_powers_count_walks_on_simple_instances(self, g, k):
         assert walk_matrix(g, "V", "V", 2 * k) == adjacency_matrix(g).power(k)
 
     @given(instances(max_vertices=4, max_edges=4))
+    @with_edge_cases()
     @settings(max_examples=25)
     def test_powers_count_walks_with_repeated_incidences(self, g):
         # The positional pair constraint never spans the seam between a
@@ -274,6 +282,7 @@ class TestWalkMatrix:
             walk_matrix(two_vertex_edge(), "X", "V", 1)
 
     @given(instances(max_vertices=4, max_edges=4), st.sampled_from(["V", "E"]), st.integers(0, 2))
+    @with_edge_cases("E", 1)
     @settings(max_examples=25)
     def test_equal_anchor_matrices_are_symmetric(self, g, family, k):
         m = walk_matrix(g, family, family, 2 * k)
@@ -357,6 +366,7 @@ class TestClosedForm:
                 )
 
     @given(instances(max_vertices=5, max_edges=4))
+    @with_edge_cases()
     @settings(max_examples=15)
     def test_matches_dense_powers_where_the_oracle_is_unaffordable(self, g):
         h = incidence_matrix(g)
@@ -372,6 +382,28 @@ class TestClosedForm:
             assert walk_matrix(g, "V", "E", 2 * k + 1, weak=True) == neg_l.power(k) @ h
             assert walk_matrix(g, "E", "V", 2 * k + 1, weak=True) == neg_dual_l.power(k) @ ht
             assert walk_matrix(g, "E", "E", 2 * k, weak=True) == neg_dual_l.power(k)
+
+    @given(instances(max_vertices=4, max_edges=4), st.sampled_from(FAMILY_PAIRS), st.booleans())
+    @settings(max_examples=20)
+    def test_equals_powers_through_every_field_width(self, g, family, weak):
+        # k runs until the answer's bound ||step||^k ||tail|| needs more than
+        # 64 bits.  With 2 <= ||step|| < 256, as on these instances, it grows
+        # by 1 to 8 bits a step, so the answer passes through the 8-, 16-,
+        # 32- and 64-bit fields and on to the wide ones.
+        rows, cols, odd = family
+        gr = g if rows == "V" else incidence_dual(g)
+        step = -laplacian(gr) if weak else adjacency_matrix(gr)
+        tail = incidence_matrix(gr) if odd else None
+        norm = max((sum(map(abs, row)) for row in step.entries), default=0)
+        bound = 1 if tail is None else max(sum(map(abs, row)) for row in tail.entries)
+        assume(norm >= 2 and bound >= 1)
+        k = 0
+        while bound.bit_length() < 64:
+            expected = step.power(k) if tail is None else step.power(k) @ tail
+            assert walk_matrix(g, rows, cols, 2 * k + odd, weak=weak) == expected
+            bound, k = bound * norm, k + 1
+        expected = step.power(k) if tail is None else step.power(k) @ tail
+        assert walk_matrix(g, rows, cols, 2 * k + odd, weak=weak) == expected
 
     def test_no_walk_ceiling(self):
         g = two_vertex_edge()
@@ -422,8 +454,8 @@ class TestClosedForm:
             assert walk_matrix(g, rows, cols, n, weak=weak) == oracle
 
     def test_scans_its_step_once(self, monkeypatch):
-        # The chain result @ step reads the step's nonzero rows n // 2 - 1
-        # times; they are derived on the first product only.
+        # Each of the n // 2 pushes reads the step's nonzero rows; they are
+        # derived on the first push only.
         scanned = []
         derive = LabeledIntegerMatrix._nonzero_rows.func
 
@@ -482,6 +514,7 @@ class TestOracleWalkCounts:
             gc.enable()
 
     @given(instances(max_vertices=5, max_edges=4), st.booleans())
+    @with_edge_cases(True)
     def test_signed_matrix_is_positive_minus_negative(self, g, weak):
         for rows, cols, odd in FAMILY_PAIRS:
             for n in (odd, odd + 2):
@@ -495,12 +528,14 @@ class TestWeakWalkMatrix:
         assert m.entries == ((-1, -1), (-1, -1))
 
     @given(instances())
+    @with_edge_cases()
     def test_one_step_weak_matrix_is_negative_laplacian(self, g):
         # Promised for simple instances; under the ordered-pair adjacency it
         # extends to repeated incidences, so assert it across the board.
         assert walk_matrix(g, "V", "V", 2, weak=True) == -laplacian(g)
 
     @given(instances())
+    @with_edge_cases()
     def test_degree_entries_from_weak_minus_strict_totals(self, g):
         d = degree_matrix(g)
         for i, vi in enumerate(g.vertices):
@@ -510,6 +545,7 @@ class TestWeakWalkMatrix:
                 assert weak - strict == d.entries[i][j]
 
     @given(instances())
+    @with_edge_cases()
     def test_laplacian_entries_from_weak_and_positive_counts(self, g):
         lap = laplacian(g)
         for i, vi in enumerate(g.vertices):
@@ -531,10 +567,12 @@ class TestBacksteps:
             backstep_count(two_vertex_edge(), "e1")
 
     @given(instances())
+    @with_edge_cases()
     def test_equals_degree(self, g):
         assert all(backstep_count(g, v) == g.degree(v) for v in g.vertices)
 
     @given(instances())
+    @with_edge_cases()
     def test_every_backstep_is_negative(self, g):
         for v in g.vertices:
             for w in enumerate_walks(g, v, v, 2, weak=True):
@@ -544,6 +582,7 @@ class TestBacksteps:
 
 class TestDualityRelationships:
     @given(instances(max_vertices=4, max_edges=4), st.integers(0, 2))
+    @with_edge_cases(1)
     @settings(max_examples=25)
     def test_same_kind_anchor_duality(self, g, k):
         gd = incidence_dual(g)
@@ -551,12 +590,14 @@ class TestDualityRelationships:
         assert walk_matrix(g, "E", "E", 2 * k) == walk_matrix(gd, "V", "V", 2 * k)
 
     @given(instances(max_vertices=4, max_edges=4), st.sampled_from([1, 3]))
+    @with_edge_cases(3)
     @settings(max_examples=25)
     def test_cross_walks_match_the_dual(self, g, n):
         gd = incidence_dual(g)
         assert walk_matrix(g, "E", "V", n) == walk_matrix(gd, "V", "E", n)
 
     @given(instances())
+    @with_edge_cases()
     def test_half_step_transpose(self, g):
         assert walk_matrix(g, "V", "E", 1).transpose() == walk_matrix(g, "E", "V", 1)
 
