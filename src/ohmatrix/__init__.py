@@ -24,8 +24,8 @@ _EXPORTS = {
     "signed": ("OrientedSignedGraph", "from_hypergraph", "line_graph", "to_hypergraph",
                "underlying_is_simple"),
     "io": ("FORMAT_VERSION", "InstanceFormatError", "parse_instance", "parse_switching",
-           "random_bidirected_instance", "random_instance", "random_switching",
-           "serialize_instance", "serialize_matrix", "serialize_switching"),
+           "random_bidirected_instance", "random_instance", "serialize_instance",
+           "serialize_matrix"),
     "verify": ("CheckResult", "VerificationReport", "VerifyOptions", "format_report",
                "run_verify_suite"),
 }

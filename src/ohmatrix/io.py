@@ -165,10 +165,6 @@ def parse_switching(text: str) -> SwitchingFunction:
     return SwitchingFunction(assignment)
 
 
-def serialize_switching(theta: SwitchingFunction) -> str:
-    return json.dumps(dict(sorted(theta.assignment.items())), indent=2) + "\n"
-
-
 def random_instance(
     seed: int,
     n_vertices: int,
@@ -193,6 +189,8 @@ def random_instance(
     _require_int(min_edge_size, "min_edge_size")
     if n_vertices < 0 or n_edges < 0:
         raise ValueError("vertex and edge counts must be nonnegative")
+    if type(non_simple_rate) not in (int, float):
+        raise ValueError(f"non_simple_rate must be a number, got {non_simple_rate!r}")
     if not 0.0 <= non_simple_rate <= 1.0:
         raise ValueError(f"non_simple_rate must lie in [0, 1], got {non_simple_rate!r}")
     if max_edge_size is None:
@@ -240,12 +238,6 @@ def random_instance(
     if problems:
         raise RuntimeError("generator produced an invalid instance: " + "; ".join(problems))
     return g
-
-
-def random_switching(seed: int, vertices) -> SwitchingFunction:
-    """Deterministic random +1/-1 assignment over the given vertex labels."""
-    rng = random.Random(seed)
-    return SwitchingFunction({v: rng.choice((1, -1)) for v in vertices})
 
 
 def random_bidirected_instance(seed: int, n_vertices: int, n_edges: int) -> OrientedHypergraph:

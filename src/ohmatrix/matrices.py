@@ -12,10 +12,11 @@ product taking it as the right factor reads.  Validation happens once, at
 matrices are built from their operands and are not validated again.  This
 module is the only one that loops over stored rows or builds a matrix
 without validating it: ``+`` and ``-`` share one entrywise kernel, and
-``_signed`` gives ``D_r M D_c`` (or ``D_r M``) for diagonal +1/-1 sign
-matrices entry by entry, for unary minus and for the switching check in
-``verify``.  ``_pushed`` gives ``step^k start`` for ``walk_matrix`` without
-products, each row of the running product packed into one int.
+``_signed`` gives ``D_r M D_c`` for diagonal +1/-1 sign matrices entry by
+entry, for unary minus and for the switching check in ``verify``, which pass
+all-plus signs for a side they leave alone.  ``_pushed`` gives
+``step^k start`` for ``walk_matrix`` without products, each row of the
+running product packed into one int; ``walk_matrix`` chooses the start.
 
 ``H``, ``A``, both Laplacians and the walk steps come from two constructions
 over the incidence tables, one-incidence and pair steps, so ``L = D - A``
@@ -141,7 +142,7 @@ class LabeledIntegerMatrix:
         return self._entrywise(other, sub)
 
     def __neg__(self) -> "LabeledIntegerMatrix":
-        return _signed(self, (-1,) * len(self.row_labels))
+        return _signed(self, (-1,) * len(self.row_labels), (1,) * len(self.col_labels))
 
     def __matmul__(self, other: "LabeledIntegerMatrix") -> "LabeledIntegerMatrix":
         if not isinstance(other, LabeledIntegerMatrix):
@@ -196,9 +197,9 @@ def _row_norm(sparse_rows) -> int:
 
 
 def _pushed(
-    step: LabeledIntegerMatrix, k: int, start: LabeledIntegerMatrix | None
+    step: LabeledIntegerMatrix, k: int, start: LabeledIntegerMatrix
 ) -> LabeledIntegerMatrix:
-    # step^k start without products, or step^k when start is None.
+    # step^k start without products; start itself when k is 0.
     # Kronecker substitution: each row of the running product is one int
     # whose w-bit fields are its entries, so a push, row'_a = sum of
     # step[a][t] * row_t, is one big-int multiply-add per nonzero of step.
@@ -206,10 +207,6 @@ def _pushed(
     # and ||step||^k ||start|| bounds them.  A field is read back by adding
     # 2^(w-1) to every field, XOR-ing it back off, and reading w-bit two's
     # complement.
-    if start is None:
-        if k == 0:
-            return LabeledIntegerMatrix.identity(step.row_labels)
-        start, k = step, k - 1
     if k == 0:
         return start
     cols, steps = start.col_labels, step._nonzero_rows
@@ -246,23 +243,16 @@ def _one_steps(g: OrientedHypergraph, vertex_rows: bool) -> LabeledIntegerMatrix
 
 
 def _signed(
-    m: LabeledIntegerMatrix,
-    row_signs: Sequence[int],
-    col_signs: Sequence[int] | None = None,
+    m: LabeledIntegerMatrix, row_signs: Sequence[int], col_signs: Sequence[int]
 ) -> LabeledIntegerMatrix:
     # D_r M D_c for the diagonal +1/-1 matrices of the signs, without
-    # products: row r is negated where its sign is -1, then multiplied
-    # entrywise by the column signs.  Without column signs, D_r M.
-    if col_signs is None:
-        rows = tuple(
-            row if s == 1 else tuple(map(neg, row)) for s, row in zip(row_signs, m.entries)
-        )
-    else:
-        flipped = tuple(map(neg, col_signs))
-        rows = tuple(
-            tuple(map(mul, row, col_signs if s == 1 else flipped))
-            for s, row in zip(row_signs, m.entries)
-        )
+    # products: each row is multiplied entrywise by the column signs, or by
+    # their negation where its row sign is -1.
+    flipped = tuple(map(neg, col_signs))
+    rows = tuple(
+        tuple(map(mul, row, col_signs if s == 1 else flipped))
+        for s, row in zip(row_signs, m.entries)
+    )
     return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
 
 

@@ -270,7 +270,7 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
         # Every trial still draws its values, so the draws do not shift; a
         # repeat of a switching already checked would build the same matrices.
         theta_rng = random.Random(theta_seed)
-        checked, diff = set(), None
+        checked, diff, plus = set(), None, (1,) * len(g.edges)
         for _ in range(options.switching_trials):
             values = tuple(theta_rng.choice((1, -1)) for _ in g.vertices)
             if values in checked:
@@ -281,7 +281,7 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
             diff = _matrix_diff(
                 "A after switching", adjacency_matrix(gs), "conjugated A", _signed(a, values, values)
             ) or _matrix_diff(
-                "H after switching", incidence_matrix(gs), "conjugated H", _signed(h, values)
+                "H after switching", incidence_matrix(gs), "conjugated H", _signed(h, values, plus)
             ) or _matrix_diff(
                 "L after switching", laplacian(gs), "conjugated L", _signed(lap, values, values)
             )

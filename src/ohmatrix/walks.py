@@ -390,10 +390,12 @@ def walk_matrix(
     n = half_length_numerator
     row_labels, rows_vertex = _family(g, row_anchors)
     _require_walks(rows_vertex, _family(g, col_anchors)[1], n)
-    tail = _one_steps(g, rows_vertex) if n % 2 else None
     if n < 2:
-        return LabeledIntegerMatrix.identity(row_labels) if tail is None else tail
-    return _pushed(_pair_steps(g, rows_vertex, weak), n // 2, tail)
+        return _one_steps(g, rows_vertex) if n else LabeledIntegerMatrix.identity(row_labels)
+    # Odd n pushes the tail n // 2 times; even n pushes one step n // 2 - 1
+    # times, so n = 2 returns the step itself.
+    step, k = _pair_steps(g, rows_vertex, weak), n // 2
+    return _pushed(step, k, _one_steps(g, rows_vertex)) if n % 2 else _pushed(step, k - 1, step)
 
 
 def backstep_count(g: OrientedHypergraph, vertex: str) -> int:

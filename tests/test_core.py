@@ -22,7 +22,6 @@ from ohmatrix import (
     is_simple,
     laplacian,
     oracle_walk_counts,
-    random_switching,
     run_verify_suite,
     serialize_instance,
     switch,
@@ -238,13 +237,15 @@ class TestSwitch:
     @given(instances(), st.integers(0, 2**32))
     @with_edge_cases(0)
     def test_involution(self, g, seed):
-        theta = random_switching(seed, g.vertices)
+        rng = random.Random(seed)
+        theta = SwitchingFunction({v: rng.choice((1, -1)) for v in g.vertices})
         assert switch(switch(g, theta), theta) == g
 
     @given(instances(), st.integers(0, 2**32))
     @with_edge_cases(0)
     def test_underlying_structure_preserved(self, g, seed):
-        theta = random_switching(seed, g.vertices)
+        rng = random.Random(seed)
+        theta = SwitchingFunction({v: rng.choice((1, -1)) for v in g.vertices})
         gs = switch(g, theta)
         assert gs.vertices == g.vertices and gs.edges == g.edges
         assert sorted(i.triple for i in gs.incidences) == sorted(i.triple for i in g.incidences)

@@ -15,6 +15,7 @@ from ohmatrix import (
     InstanceFormatError,
     LabeledIntegerMatrix,
     OrientedHypergraph,
+    SwitchingFunction,
     adjacency_matrix,
     is_k_uniform,
     is_simple,
@@ -22,10 +23,8 @@ from ohmatrix import (
     parse_switching,
     random_bidirected_instance,
     random_instance,
-    random_switching,
     serialize_instance,
     serialize_matrix,
-    serialize_switching,
     underlying_is_simple,
     from_hypergraph,
     validate,
@@ -279,9 +278,10 @@ class TestMatrixSerialization:
 
 
 class TestSwitchingSerialization:
-    def test_round_trip(self):
-        theta = random_switching(3, ("v1", "v2", "v3"))
-        assert parse_switching(serialize_switching(theta)) == theta
+    def test_parses_a_literal_document(self):
+        theta = parse_switching('{"v1": 1, "v2": -1, "v3": -1}')
+        assert theta == SwitchingFunction({"v1": 1, "v2": -1, "v3": -1})
+        assert parse_switching("{}") == SwitchingFunction({})
 
     def test_rejects_bad_values(self):
         with pytest.raises(InstanceFormatError, match="'v1'"):
@@ -456,3 +456,10 @@ def test_generators_refuse_counts_that_are_not_int(generate, args, kwargs, name)
     # As every other count in the library: a bool or a float is no count.
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         generate(*args, **kwargs)
+
+
+@pytest.mark.parametrize("rate", [True, False, "0.5", None, 1j])
+def test_random_instance_refuses_a_rate_that_is_not_a_number(rate):
+    # A bool is no rate either: True would otherwise be taken as 1.0.
+    with pytest.raises(ValueError, match="^non_simple_rate must be a number, got "):
+        random_instance(0, 3, 2, 2, simple=False, non_simple_rate=rate)

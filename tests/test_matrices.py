@@ -1,5 +1,6 @@
 import ast
 import operator
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from ohmatrix import (
     incidence_matrix,
     is_simple,
     laplacian,
-    random_switching,
     switch,
     switching_matrix,
 )
@@ -388,13 +388,15 @@ class TestSwitchingMatrix:
     @given(st.integers(0, 2**32))
     def test_involutory(self, seed):
         order = ("v1", "v2", "v3")
-        d = switching_matrix(random_switching(seed, order), order)
+        rng = random.Random(seed)
+        d = switching_matrix(SwitchingFunction({v: rng.choice((1, -1)) for v in order}), order)
         assert d @ d == LabeledIntegerMatrix.identity(order)
 
     @given(instances(), st.integers(0, 2**32))
     @with_edge_cases(0)
     def test_conjugation_identities(self, g, seed):
-        theta = random_switching(seed, g.vertices)
+        rng = random.Random(seed)
+        theta = SwitchingFunction({v: rng.choice((1, -1)) for v in g.vertices})
         dt = switching_matrix(theta, g.vertices)
         gs = switch(g, theta)
         assert adjacency_matrix(gs) == dt.transpose() @ adjacency_matrix(g) @ dt
@@ -437,14 +439,14 @@ class TestPushed:
         assert pushed.entries == (((sign * r) ** k,),) * 2
         assert pushed == step.power(k) @ ones
 
-    @given(instances(), st.integers(0, 6))
+    @given(instances(), st.integers(1, 6))
     @with_edge_cases(2)
-    def test_none_is_the_identity(self, g, k):
+    def test_equals_the_products(self, g, k):
         a = adjacency_matrix(g)
-        assert _pushed(a, k, None) == a.power(k)
+        assert _pushed(a, k - 1, a) == a.power(k)
         h = incidence_matrix(g)
         assert _pushed(a, k, h) == a.power(k) @ h
 
-    def test_one_push_onto_the_identity_is_the_step(self):
+    def test_no_push_is_the_start(self):
         a = adjacency_matrix(two_vertex_edge())
-        assert _pushed(a, 1, None) is a
+        assert _pushed(a, 0, a) is a
