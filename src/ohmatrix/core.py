@@ -12,9 +12,9 @@ may be freely shared between threads.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Mapping
+from operator import attrgetter
 
 
 def _require_int(value, name: str) -> None:
@@ -22,33 +22,73 @@ def _require_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Incidence:
-    """A signed meeting of a vertex and an edge.
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields, in order, as its ``__slots__`` (plus
+    ``"__dict__"`` when it caches properties), and its ``__init__`` sets
+    them with ``object.__setattr__``.  An instance then equals only an
+    instance of the same class with equal fields, hashes like the tuple of
+    its fields, prints as ``Name(field=value, ...)``, pickles and copies
+    through its constructor, and refuses assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Incidence(_Value):
+    """A signed meeting of a vertex and an edge; an immutable value.
 
     ``mult_index`` numbers repeated meetings of the same (vertex, edge)
     pair, starting at 1.
     """
 
-    vertex: str
-    edge: str
-    mult_index: int = 1
-    sign: int = 1
+    __slots__ = ("vertex", "edge", "mult_index", "sign")
 
-    def __post_init__(self) -> None:
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"incidence sign must be +1 or -1, got {self.sign!r}")
-        if type(self.mult_index) is not int or self.mult_index < 1:
-            raise ValueError(f"mult_index must be a positive integer, got {self.mult_index!r}")
+    def __init__(self, vertex: str, edge: str, mult_index: int = 1, sign: int = 1) -> None:
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"incidence sign must be +1 or -1, got {sign!r}")
+        if type(mult_index) is not int or mult_index < 1:
+            raise ValueError(f"mult_index must be a positive integer, got {mult_index!r}")
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "mult_index", mult_index)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def triple(self) -> tuple[str, str, int]:
         return (self.vertex, self.edge, self.mult_index)
 
 
-@dataclass(frozen=True, eq=False)
-class OrientedHypergraph:
-    """Ordered vertices and edges plus a collection of signed incidences.
+class OrientedHypergraph(_Value):
+    """Ordered vertices and edges plus a collection of signed incidences; an
+    immutable value.
 
     Construction does not check structural invariants; :func:`validate`
     returns a report instead, so malformed instances can still be built and
@@ -60,14 +100,14 @@ class OrientedHypergraph:
     of the incidence tuple is not significant.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
-    incidences: tuple[Incidence, ...] = ()
+    __slots__ = ("vertices", "edges", "incidences", "__dict__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "incidences", tuple(self.incidences))
+    def __init__(
+        self, vertices: Iterable[str], edges: Iterable[str], incidences: Iterable[Incidence] = ()
+    ) -> None:
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "incidences", tuple(incidences))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrientedHypergraph):
@@ -138,20 +178,20 @@ class OrientedHypergraph:
         return len(self._anchor_row(edge, False))
 
 
-@dataclass(frozen=True)
-class SwitchingFunction:
-    """A total assignment of +1 or -1 to vertex labels."""
+class SwitchingFunction(_Value):
+    """A total assignment of +1 or -1 to vertex labels; an immutable value."""
 
-    assignment: Mapping[str, int]
+    __slots__ = ("assignment",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", dict(self.assignment))
-        bad = {v: s for v, s in self.assignment.items() if type(s) is not int or s not in (1, -1)}
+    def __init__(self, assignment: Mapping[str, int]) -> None:
+        assignment = dict(assignment)
+        bad = {v: s for v, s in assignment.items() if type(s) is not int or s not in (1, -1)}
         if bad:
             raise ValueError(f"switching values must be +1 or -1, got {bad!r}")
+        object.__setattr__(self, "assignment", assignment)
 
     def __hash__(self) -> int:
-        # Agrees with the generated __eq__, which compares the dicts.
+        # Agrees with __eq__, which compares the dicts.
         return hash(frozenset(self.assignment.items()))
 
     def __call__(self, vertex: str) -> int:

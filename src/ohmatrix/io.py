@@ -23,6 +23,7 @@ FORMAT_VERSION = 1
 
 _INSTANCE_FIELDS = ("format_version", "vertices", "edges", "incidences")
 _INCIDENCE_FIELDS = ("v", "e", "k", "sign")
+_INCIDENCE_KEYS = frozenset(_INCIDENCE_FIELDS)
 
 
 class InstanceFormatError(ValueError):
@@ -77,27 +78,27 @@ def parse_instance(text: str, *, require_valid: bool = True) -> OrientedHypergra
         raise InstanceFormatError("incidences must be an array")
     incidences = []
     for i, rec in enumerate(raw):
-        where = f"incidences[{i}]"
-        if not isinstance(rec, dict):
-            raise InstanceFormatError(f"{where} must be an object")
-        missing = [k for k in _INCIDENCE_FIELDS if k not in rec]
-        if missing:
-            raise InstanceFormatError(f"{where} is missing fields: {', '.join(missing)}")
-        extra = sorted(set(rec) - set(_INCIDENCE_FIELDS))
-        if extra:
+        if not isinstance(rec, dict) or rec.keys() != _INCIDENCE_KEYS:
+            where = f"incidences[{i}]"
+            if not isinstance(rec, dict):
+                raise InstanceFormatError(f"{where} must be an object")
+            missing = [k for k in _INCIDENCE_FIELDS if k not in rec]
+            if missing:
+                raise InstanceFormatError(f"{where} is missing fields: {', '.join(missing)}")
+            extra = sorted(rec.keys() - _INCIDENCE_KEYS)
             raise InstanceFormatError(f"{where} has unknown fields: {', '.join(extra)}")
         if not isinstance(rec["v"], str):
-            raise InstanceFormatError(f"{where}.v must be a string, got {rec['v']!r}")
+            raise InstanceFormatError(f"incidences[{i}].v must be a string, got {rec['v']!r}")
         if not isinstance(rec["e"], str):
-            raise InstanceFormatError(f"{where}.e must be a string, got {rec['e']!r}")
+            raise InstanceFormatError(f"incidences[{i}].e must be a string, got {rec['e']!r}")
         k = rec["k"]
         if type(k) is not int:
-            raise InstanceFormatError(f"{where}.k must be an integer, got {k!r}")
+            raise InstanceFormatError(f"incidences[{i}].k must be an integer, got {k!r}")
         if k < 1:
-            raise InstanceFormatError(f"{where}.k must be at least 1, got {k}")
+            raise InstanceFormatError(f"incidences[{i}].k must be at least 1, got {k}")
         sign = rec["sign"]
         if type(sign) is not int or sign not in (1, -1):
-            raise InstanceFormatError(f"{where}.sign must be 1 or -1, got {sign!r}")
+            raise InstanceFormatError(f"incidences[{i}].sign must be 1 or -1, got {sign!r}")
         incidences.append(Incidence(rec["v"], rec["e"], k, sign))
     g = OrientedHypergraph(vertices, edges, incidences)
     if require_valid:

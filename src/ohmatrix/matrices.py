@@ -26,33 +26,39 @@ and ``L = H H^T`` compare independent computations.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
 
-from .core import OrientedHypergraph, SwitchingFunction, _require_int
+from .core import OrientedHypergraph, SwitchingFunction, _Value, _require_int
 
 
-@dataclass(frozen=True)
-class LabeledIntegerMatrix:
-    """Dense integer matrix whose rows and columns are label sequences.
+class LabeledIntegerMatrix(_Value):
+    """Dense integer matrix whose rows and columns are label sequences; an
+    immutable value.
 
-    Constructing one checks the labels, the shape and every entry; it is
-    where a matrix from outside data is validated.  The arithmetic
-    operators, ``transpose`` and ``power`` return matrices that skip that
-    check, since their labels and int entries come from operands that
-    already passed it; they compare and hash like validated ones.
+    Constructing one checks the labels, the shape and every entry, in
+    ``__post_init__``; it is where a matrix from outside data is validated.
+    The arithmetic operators, ``transpose`` and ``power`` return matrices
+    that skip that check, since their labels and int entries come from
+    operands that already passed it; they compare and hash like validated
+    ones.
     """
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("row_labels", "col_labels", "entries", "__dict__")
+
+    def __init__(
+        self,
+        row_labels: Iterable[str],
+        col_labels: Iterable[str],
+        entries: Iterable[Iterable[int]],
+    ) -> None:
+        object.__setattr__(self, "row_labels", tuple(row_labels))
+        object.__setattr__(self, "col_labels", tuple(col_labels))
+        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
         if len(set(self.row_labels)) != len(self.row_labels):
             raise ValueError("duplicate row labels")
         if len(set(self.col_labels)) != len(self.col_labels):

@@ -11,9 +11,9 @@ incidence dual.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
 
 from .core import Incidence, OrientedHypergraph
 

@@ -37,9 +37,9 @@ by sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 
-from .core import Incidence, OrientedHypergraph, _require_int
+from .core import Incidence, OrientedHypergraph, _Value, _require_int
 from .matrices import LabeledIntegerMatrix, _one_steps, _pair_steps, _pushed
 
 
@@ -57,9 +57,8 @@ class EnumerationLimitError(RuntimeError):
     """Raised when a walk search would generate more than ``max_walks`` walks."""
 
 
-@dataclass(frozen=True)
-class Walk:
-    """An alternating anchor sequence joined by incidences.
+class Walk(_Value):
+    """An alternating anchor sequence joined by incidences; an immutable value.
 
     ``anchors`` has one more element than ``incidences``; incidence h joins
     anchors h-1 and h.  ``weak`` records that the walk was produced under
@@ -67,15 +66,17 @@ class Walk:
     happen to satisfy the strict pair constraint.
     """
 
-    anchors: tuple[str, ...]
-    incidences: tuple[Incidence, ...]
-    weak: bool = False
+    __slots__ = ("anchors", "incidences", "weak")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "anchors", tuple(self.anchors))
-        object.__setattr__(self, "incidences", tuple(self.incidences))
-        if len(self.anchors) != len(self.incidences) + 1:
+    def __init__(
+        self, anchors: Iterable[str], incidences: Iterable[Incidence], weak: bool = False
+    ) -> None:
+        anchors, incidences = tuple(anchors), tuple(incidences)
+        if len(anchors) != len(incidences) + 1:
             raise ValueError("a walk needs exactly one more anchor than incidences")
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "incidences", incidences)
+        object.__setattr__(self, "weak", weak)
 
     @property
     def is_backstep(self) -> bool:
@@ -87,12 +88,15 @@ class Walk:
         )
 
 
-@dataclass(frozen=True)
-class WalkCounts:
-    """Walk counts split by sign, with their total and signed net."""
+class WalkCounts(_Value):
+    """Walk counts split by sign, with their total and signed net; an
+    immutable value."""
 
-    positive: int
-    negative: int
+    __slots__ = ("positive", "negative")
+
+    def __init__(self, positive: int, negative: int) -> None:
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
 
     @property
     def total(self) -> int:

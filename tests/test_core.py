@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -11,6 +13,8 @@ from ohmatrix import (
     OrientedHypergraph,
     OrientedSignedGraph,
     SwitchingFunction,
+    Walk,
+    WalkCounts,
     adjacency_matrix,
     degree_matrix,
     dual_laplacian,
@@ -72,6 +76,100 @@ class TestIncidence:
 def test_constructors_refuse_bools(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+_I1, _I2 = Incidence("v1", "e1"), Incidence("v2", "e1", 1, -1)
+_I_TEXT = ("Incidence(vertex='v1', edge='e1', mult_index=1, sign=1), "
+           "Incidence(vertex='v2', edge='e1', mult_index=1, sign=-1)")
+
+# Per value class: positional arguments, its fields, its repr, keywords that
+# leave the defaulted fields out with the positional arguments they stand
+# for, instances that differ in one field each, and arguments it refuses.
+VALUE_CASES = [
+    pytest.param(
+        Incidence, ("v1", "e1", 2, -1), ("vertex", "edge", "mult_index", "sign"),
+        "Incidence(vertex='v1', edge='e1', mult_index=2, sign=-1)",
+        ({"vertex": "v1", "edge": "e1"}, ("v1", "e1", 1, 1)),
+        [("v2", "e1", 2, -1), ("v1", "e2", 2, -1), ("v1", "e1", 1, -1), ("v1", "e1", 2, 1)],
+        [("v1", "e1", 2, 2), ("v1", "e1", 0, -1), ("v1", "e1", 2.0, -1)],
+        id="Incidence",
+    ),
+    pytest.param(
+        OrientedHypergraph, (["v1", "v2"], ["e1"], [_I1, _I2]), ("vertices", "edges", "incidences"),
+        f"OrientedHypergraph(vertices=('v1', 'v2'), edges=('e1',), incidences=({_I_TEXT}))",
+        ({"vertices": ["v1"], "edges": ()}, (("v1",), (), ())),
+        [(["v2", "v1"], ["e1"], [_I1, _I2]), (["v1", "v2"], ["e2"], [_I1, _I2]),
+         (["v1", "v2"], ["e1"], [_I1])],
+        [],
+        id="OrientedHypergraph",
+    ),
+    pytest.param(
+        SwitchingFunction, ({"v1": 1, "v2": -1},), ("assignment",),
+        "SwitchingFunction(assignment={'v1': 1, 'v2': -1})",
+        ({"assignment": {"v1": -1}}, ({"v1": -1},)),
+        [({"v1": 1, "v2": 1},), ({"v1": 1},)],
+        [({"v1": 2},), ({"v1": 0},)],
+        id="SwitchingFunction",
+    ),
+    pytest.param(
+        LabeledIntegerMatrix, (["r1", "r2"], ["c1"], [[1], [-2]]),
+        ("row_labels", "col_labels", "entries"),
+        "LabeledIntegerMatrix(row_labels=('r1', 'r2'), col_labels=('c1',), entries=((1,), (-2,)))",
+        ({"row_labels": ["r1"], "col_labels": [], "entries": [[]]}, (("r1",), (), ((),))),
+        [(["r2", "r1"], ["c1"], [[1], [-2]]), (["r1", "r2"], ["c2"], [[1], [-2]]),
+         (["r1", "r2"], ["c1"], [[1], [2]])],
+        [(["r1", "r1"], ["c1"], [[1], [2]]), (["r1"], ["c1"], [[1], [2]]),
+         (["r1"], ["c1"], [[1.0]])],
+        id="LabeledIntegerMatrix",
+    ),
+    pytest.param(
+        Walk, (["v1", "e1", "v2"], [_I1, _I2], True), ("anchors", "incidences", "weak"),
+        f"Walk(anchors=('v1', 'e1', 'v2'), incidences=({_I_TEXT}), weak=True)",
+        ({"anchors": ["v1"], "incidences": []}, (("v1",), (), False)),
+        [(["v2", "e1", "v2"], [_I1, _I2], True), (["v1", "e1", "v2"], [_I2, _I2], True),
+         (["v1", "e1", "v2"], [_I1, _I2], False)],
+        [(["v1", "e1"], [_I1, _I2]), (["v1"], [_I1])],
+        id="Walk",
+    ),
+    pytest.param(
+        WalkCounts, (3, 5), ("positive", "negative"), "WalkCounts(positive=3, negative=5)",
+        ({"negative": 1, "positive": 2}, (2, 1)),
+        [(4, 5), (3, 6)],
+        [],
+        id="WalkCounts",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, args, fields, text, defaults, others, refused", VALUE_CASES)
+def test_value_semantics(cls, args, fields, text, defaults, others, refused):
+    value, twin = cls(*args), cls(*args)
+    assert cls.__match_args__ == fields
+    assert value == twin and not value != twin and value is not twin
+    assert hash(value) == hash(twin)
+    for changed in map(cls, *zip(*others)):
+        assert value != changed and not value == changed
+    # Equality holds only within the class: a tuple of the same fields, or
+    # another value class, is left to the other operand.
+    stranger = Incidence("v1", "e1") if cls is WalkCounts else WalkCounts(3, 5)
+    for other in (tuple(getattr(value, f) for f in fields), stranger):
+        assert value.__eq__(other) is NotImplemented
+        assert value != other
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is cls and clone == value and hash(clone) == hash(value)
+        assert repr(clone) == text
+    assert cls(**dict(zip(fields, args))) == value
+    keywords, positional = defaults
+    assert cls(**keywords) == cls(*positional)
+    for bad in refused:
+        with pytest.raises((ValueError, TypeError)):
+            cls(*bad)
 
 
 class TestValidate:

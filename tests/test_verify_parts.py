@@ -388,6 +388,26 @@ def test_importing_the_cli_loads_no_pickle():
     assert proc.stdout == "[]\n"
 
 
+def test_validate_and_walk_matrix_load_no_dataclasses(tmp_path):
+    # The value classes are plain slotted classes and take their annotation
+    # names from collections.abc, so only verify and linegraph, whose
+    # dataclasses live in verify.py and signed.py, load dataclasses and
+    # with it inspect.  -S: some installs' site hooks load typing themselves.
+    path = tmp_path / "g.json"
+    path.write_text(serialize_instance(path3()))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = textwrap.dedent("""
+        import sys
+        from ohmatrix.cli import main
+        assert main(["validate", sys.argv[1]]) == 0
+        assert main(["walk-matrix", sys.argv[1], "--rows", "V", "--cols", "V", "--n", "4"]) == 0
+        print(sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+    """)
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_a_failed_fork_closes_its_pipe_and_reaps_the_forked_child(monkeypatch, capsys):
     # The second fork of every run fails, after the first child is running.
     refused = BlockingIOError(errno.EAGAIN, "fork refused")
