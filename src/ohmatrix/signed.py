@@ -11,16 +11,15 @@ incidence dual.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from itertools import combinations
 
-from .core import Incidence, OrientedHypergraph
+from .core import Incidence, OrientedHypergraph, _Value
 
 
-@dataclass(frozen=True)
-class OrientedSignedGraph:
-    """A signed graph with an orientation value at each edge endpoint.
+class OrientedSignedGraph(_Value):
+    """A signed graph with an orientation value at each edge endpoint; an
+    immutable value.
 
     It stores four fields.  ``endpoints`` maps each edge to its two
     endpoint vertices (normalized to vertex declaration order; a loop
@@ -30,41 +29,41 @@ class OrientedSignedGraph:
     read, so they always agree with it.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
-    endpoints: Mapping[str, tuple[str, str]]
-    orientation: Mapping[tuple[str, str], int]
+    __slots__ = ("vertices", "edges", "endpoints", "orientation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        vidx = {v: i for i, v in enumerate(self.vertices)}
-        if len(vidx) != len(self.vertices):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[str],
+                 endpoints: Mapping[str, tuple[str, str]],
+                 orientation: Mapping[tuple[str, str], int]) -> None:
+        vertices, edges = tuple(vertices), tuple(edges)
+        vidx = {v: i for i, v in enumerate(vertices)}
+        if len(vidx) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        eset = set(self.edges)
-        if len(eset) != len(self.edges):
+        eset = set(edges)
+        if len(eset) != len(edges):
             raise ValueError("duplicate edge labels")
-        if set(self.vertices) & eset:
+        if set(vertices) & eset:
             raise ValueError("vertex and edge labels must be disjoint")
-        if set(self.endpoints) != eset:
+        if set(endpoints) != eset:
             raise ValueError("endpoints must cover exactly the declared edges")
         norm: dict[str, tuple[str, str]] = {}
-        for e in self.edges:
-            v, w = self.endpoints[e]
+        for e in edges:
+            v, w = endpoints[e]
             if v not in vidx or w not in vidx:
                 raise ValueError(f"edge {e!r} has an undeclared endpoint")
             norm[e] = (v, w) if vidx[v] <= vidx[w] else (w, v)
-        object.__setattr__(self, "endpoints", norm)
-        expected_keys = {(v, e) for e in self.edges for v in set(norm[e])}
-        if set(self.orientation) != expected_keys:
+        expected_keys = {(v, e) for e in edges for v in set(norm[e])}
+        if set(orientation) != expected_keys:
             raise ValueError("orientation must be defined on exactly the incident (vertex, edge) pairs")
-        for key, t in self.orientation.items():
+        for key, t in orientation.items():
             if type(t) is not int or t not in (1, -1):
                 raise ValueError(f"orientation value at {key} must be +1 or -1, got {t!r}")
-        object.__setattr__(self, "orientation", dict(self.orientation))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "endpoints", norm)
+        object.__setattr__(self, "orientation", dict(orientation))
 
     def __hash__(self) -> int:
-        # Agrees with the generated __eq__, which compares the dicts.
+        # Agrees with __eq__, which compares the dicts.
         return hash((self.vertices, self.edges, frozenset(self.endpoints.items()),
                      frozenset(self.orientation.items())))
 

@@ -29,11 +29,11 @@ from __future__ import annotations
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .core import (
     OrientedHypergraph,
     SwitchingFunction,
+    _Value,
     _require_int,
     incidence_dual,
     is_simple,
@@ -65,8 +65,7 @@ from .io import random_instance, serialize_instance
 NON_SIMPLE_RATE = 0.3
 
 
-@dataclass(frozen=True)
-class VerifyOptions:
+class VerifyOptions(_Value):
     """Bounds and knobs for the verification suite, one per ``verify`` flag.
 
     Family mode generates ``trials`` random instances within the size caps.
@@ -83,58 +82,55 @@ class VerifyOptions:
     below 1, which no random instance or search can meet.
     """
 
-    trials: int = 100
-    max_vertices: int = 8
-    max_edges: int = 8
-    max_edge_size: int = 4
-    max_walk_incidences: int = 8
-    switching_trials: int = 20
-    max_walks: int = DEFAULT_MAX_WALKS
+    __slots__ = ("trials", "max_vertices", "max_edges", "max_edge_size", "max_walk_incidences",
+                 "switching_trials", "max_walks")
 
-    def __post_init__(self) -> None:
-        for name, least in (("trials", 0), ("max_vertices", 1), ("max_edges", 0),
-                            ("max_edge_size", 1), ("max_walk_incidences", 0),
-                            ("switching_trials", 0), ("max_walks", 1)):
-            value = getattr(self, name)
+    def __init__(self, trials: int = 100, max_vertices: int = 8, max_edges: int = 8,
+                 max_edge_size: int = 4, max_walk_incidences: int = 8,
+                 switching_trials: int = 20, max_walks: int = DEFAULT_MAX_WALKS) -> None:
+        values = (trials, max_vertices, max_edges, max_edge_size, max_walk_incidences,
+                  switching_trials, max_walks)
+        for name, value, least in zip(self.__match_args__, values, (0, 1, 0, 1, 0, 0, 1)):
             _require_int(value, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if self.max_walk_incidences > INCIDENCE_CAP:
+            object.__setattr__(self, name, value)
+        if max_walk_incidences > INCIDENCE_CAP:
             raise ValueError(
-                f"max_walk_incidences must be at most {INCIDENCE_CAP}, "
-                f"got {self.max_walk_incidences}"
+                f"max_walk_incidences must be at most {INCIDENCE_CAP}, got {max_walk_incidences}"
             )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     """One check on one instance; it passed exactly when it has no counterexample."""
 
-    check_name: str
-    instance_summary: str
-    counterexample: str | None = None
-    seed: int | None = None
-    trial: int | None = None
+    __slots__ = ("check_name", "instance_summary", "counterexample", "seed", "trial")
+
+    def __init__(self, check_name: str, instance_summary: str, counterexample: str | None = None,
+                 seed: int | None = None, trial: int | None = None) -> None:
+        object.__setattr__(self, "check_name", check_name)
+        object.__setattr__(self, "instance_summary", instance_summary)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trial", trial)
 
     @property
     def status(self) -> str:
         return "pass" if self.counterexample is None else "fail"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Canonically ordered check results plus notes on what was cut short.
 
     Each note names a trial that a resource ceiling cut short; the report
     is ``complete`` when there are none.
     """
 
-    results: tuple[CheckResult, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("results", "notes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "results", tuple(self.results))
-        object.__setattr__(self, "notes", tuple(self.notes))
+    def __init__(self, results: tuple[CheckResult, ...], notes: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "results", tuple(results))
+        object.__setattr__(self, "notes", tuple(notes))
 
     @property
     def complete(self) -> bool:

@@ -267,6 +267,20 @@ def _tally(state, idx: int, _prefix: list[Incidence], sign: int) -> None:
         minus[end] += 1
 
 
+def _tallies(g, start_is_vertex: bool, end_is_vertex: bool, n: int, weak: bool, max_walks, starts):
+    """Per start index in ``starts``, one search's walks counted by sign at
+    each endpoint index, as rows of positive and of negative counts."""
+    _require_walks(start_is_vertex, end_is_vertex, n, max_walks)
+    plan = _plan(g, start_is_vertex, n, weak)
+    # Each last row split by sign once: a walk is then one counter increment.
+    ends = [([e[0] for e in row if e[1] > 0], [e[0] for e in row if e[1] < 0]) for row in plan[1]]
+    width = len(g.vertices if end_is_vertex else g.edges)
+    positive, negative = [[0] * width for _ in starts], [[0] * width for _ in starts]
+    for start, plus, minus in zip(starts, positive, negative):
+        _search(plan, start, n, max_walks, _tally, (ends, plus, minus))
+    return positive, negative
+
+
 def _signed_walks(g, start: str, end: str, n: int, weak: bool, max_walks: int) -> list:
     """The walks of :func:`enumerate_walks` as ``(sign, walk)``, signed by the search."""
     start_is_vertex, origin = _anchor(g, start)
@@ -309,10 +323,11 @@ def walk_counts(
     weak: bool = False,
     max_walks: int = DEFAULT_MAX_WALKS,
 ) -> WalkCounts:
-    """Totals of :func:`enumerate_walks` output split by the signs its search carries."""
-    walks = _signed_walks(g, start, end, half_length_numerator, weak, max_walks)
-    positive = sum(sign == 1 for sign, _ in walks)
-    return WalkCounts(positive, len(walks) - positive)
+    """Totals of :func:`enumerate_walks` output split by sign, tallied without building a walk."""
+    (start_is_vertex, origin), (end_is_vertex, target) = _anchor(g, start), _anchor(g, end)
+    (plus,), (minus,) = _tallies(g, start_is_vertex, end_is_vertex, half_length_numerator, weak,
+                                 max_walks, (origin,))
+    return WalkCounts(plus[target], minus[target])
 
 
 def oracle_walk_counts(
@@ -330,21 +345,11 @@ def oracle_walk_counts(
     is what :func:`walk_counts` gives as ``positive`` and ``negative`` for
     the pair.  ``max_walks`` bounds each search.
     """
-    n = half_length_numerator
     row_labels, rows_vertex = _family(g, row_anchors)
     col_labels, cols_vertex = _family(g, col_anchors)
-    _require_walks(rows_vertex, cols_vertex, n, max_walks)
-    plan = _plan(g, rows_vertex, n, weak)
-    # Each last row split by sign once: a walk is then one counter increment.
-    ends = [
-        ([e[0] for e in row if e[1] > 0], [e[0] for e in row if e[1] < 0]) for row in plan[1]
-    ]
-    positive, negative = [], []
-    for start in range(len(row_labels)):
-        plus, minus = [0] * len(col_labels), [0] * len(col_labels)
-        _search(plan, start, n, max_walks, _tally, (ends, plus, minus))
-        positive.append(plus)
-        negative.append(minus)
+    positive, negative = _tallies(
+        g, rows_vertex, cols_vertex, half_length_numerator, weak, max_walks, range(len(row_labels))
+    )
     return (
         LabeledIntegerMatrix(row_labels, col_labels, positive),
         LabeledIntegerMatrix(row_labels, col_labels, negative),

@@ -2,10 +2,10 @@
 
 Usage: python tests/mutation_sweep.py [MODULE.py ...]
 
-The modules default to ``core.py``, ``matrices.py`` and ``walks.py`` of
-``src/ohmatrix``; a name that is not a file is looked up there, and several
-given modules must share one package.  Every
-mutant changes one site inside a function body, under five operators:
+The modules default to ``core.py``, ``matrices.py``, ``walks.py`` and
+``signed.py`` of ``src/ohmatrix``; a name that is not a file is looked up
+there, and several given modules must share one package.  Every mutant
+changes one site inside a function body, under five operators:
 ``+``/``-`` swapped; one of ``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
 ``is``/``is not`` and ``in``/``not in`` swapped; ``and``/``or`` swapped; a
 unary minus dropped; an int constant 0, 1 or 2 raised by one.
@@ -135,7 +135,7 @@ def _judge(root: str, timeout: float | None) -> tuple[int, str, str]:
 
 def main(argv: list[str]) -> int:
     modules = [(Path(arg) if Path(arg).is_file() else PACKAGE / arg).resolve()
-               for arg in argv or ("core.py", "matrices.py", "walks.py")]
+               for arg in argv or ("core.py", "matrices.py", "walks.py", "signed.py")]
     package = modules[0].parent
     if not all(module.is_file() for module in modules):
         print("error: each module must be a file, or a module of src/ohmatrix", file=sys.stderr)

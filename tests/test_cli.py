@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -518,7 +517,7 @@ def test_flag_defaults_are_the_library_defaults(monkeypatch, capsys):
     # An absent flag is absent on the namespace too, so the library's own
     # defaults apply.
     args = build_parser().parse_args(["verify"])
-    assert [f.name for f in fields(VerifyOptions) if hasattr(args, f.name)] == []
+    assert [name for name in VerifyOptions.__match_args__ if hasattr(args, name)] == []
     calls = []
     monkeypatch.setattr(ohmatrix.verify, "run_verify_suite",
                         lambda *a, **kwargs: calls.append(kwargs) or VerificationReport(()))
@@ -532,11 +531,11 @@ def test_flag_defaults_are_the_library_defaults(monkeypatch, capsys):
     reference.add_argument("instance", nargs="?", default=None,
                            help="optional instance file; otherwise a seeded random family")
     reference.add_argument("--seed", type=int, default=0)
-    for f in fields(VerifyOptions):
-        reference.add_argument("--" + f.name.replace("_", "-"), type=int,
+    for name in VerifyOptions.__match_args__:
+        reference.add_argument("--" + name.replace("_", "-"), type=int,
                                default=argparse.SUPPRESS,
-                               help=cli._MAX_WALKS_HELP % {"default": f.default}
-                               if f.name == "max_walks" else None)
+                               help=cli._MAX_WALKS_HELP % {"default": VerifyOptions().max_walks}
+                               if name == "max_walks" else None)
     verify = next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)

@@ -8,11 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ohmatrix import (
+    DEFAULT_MAX_WALKS,
+    CheckResult,
     Incidence,
     LabeledIntegerMatrix,
     OrientedHypergraph,
     OrientedSignedGraph,
     SwitchingFunction,
+    VerificationReport,
+    VerifyOptions,
     Walk,
     WalkCounts,
     adjacency_matrix,
@@ -81,6 +85,12 @@ def test_constructors_refuse_bools(build, error, message):
 _I1, _I2 = Incidence("v1", "e1"), Incidence("v2", "e1", 1, -1)
 _I_TEXT = ("Incidence(vertex='v1', edge='e1', mult_index=1, sign=1), "
            "Incidence(vertex='v2', edge='e1', mult_index=1, sign=-1)")
+_OPTIONS = (10, 6, 7, 3, 6, 4, 500)
+_CHECK_ARGS = ("walk_oracle_power", "|V|=1", "A differs", 7, 3)
+_CHECK = CheckResult(*_CHECK_ARGS)
+_CHECK_TEXT = ("CheckResult(check_name='walk_oracle_power', instance_summary='|V|=1', "
+               "counterexample='A differs', seed=7, trial=3)")
+_TAU = {("v1", "e1"): 1, ("v2", "e1"): -1}
 
 # Per value class: positional arguments, its fields, its repr, keywords that
 # leave the defaulted fields out with the positional arguments they stand
@@ -137,6 +147,51 @@ VALUE_CASES = [
         [(4, 5), (3, 6)],
         [],
         id="WalkCounts",
+    ),
+    pytest.param(
+        VerifyOptions, _OPTIONS,
+        ("trials", "max_vertices", "max_edges", "max_edge_size", "max_walk_incidences",
+         "switching_trials", "max_walks"),
+        "VerifyOptions(trials=10, max_vertices=6, max_edges=7, max_edge_size=3, "
+        "max_walk_incidences=6, switching_trials=4, max_walks=500)",
+        ({"trials": 10}, (10, 8, 8, 4, 8, 20, DEFAULT_MAX_WALKS)),
+        [(*_OPTIONS[:i], _OPTIONS[i] + 1, *_OPTIONS[i + 1:]) for i in range(7)],
+        [(True, *_OPTIONS[1:]), (10, 6.0, *_OPTIONS[2:]), (10, 0, *_OPTIONS[2:]),
+         (*_OPTIONS[:6], 0), (*_OPTIONS[:4], 501, *_OPTIONS[5:])],
+        id="VerifyOptions",
+    ),
+    pytest.param(
+        CheckResult, _CHECK_ARGS,
+        ("check_name", "instance_summary", "counterexample", "seed", "trial"), _CHECK_TEXT,
+        ({"check_name": "c", "instance_summary": "s"}, ("c", "s", None, None, None)),
+        [(*_CHECK_ARGS[:i], other, *_CHECK_ARGS[i + 1:])
+         for i, other in enumerate(("degree_backsteps", "|V|=2", None, 8, None))],
+        [("walk_oracle_power",)],
+        id="CheckResult",
+    ),
+    pytest.param(
+        VerificationReport, ([_CHECK], ["trial 3: cut short"]), ("results", "notes"),
+        f"VerificationReport(results=({_CHECK_TEXT},), notes=('trial 3: cut short',))",
+        ({"results": []}, ((), ())),
+        [([], ["trial 3: cut short"]), ([_CHECK], []), ([_CHECK, _CHECK], ["trial 3: cut short"])],
+        [],
+        id="VerificationReport",
+    ),
+    pytest.param(
+        OrientedSignedGraph, (["v1", "v2"], ["e1"], {"e1": ("v2", "v1")}, _TAU),
+        ("vertices", "edges", "endpoints", "orientation"),
+        "OrientedSignedGraph(vertices=('v1', 'v2'), edges=('e1',), endpoints={'e1': ('v1', 'v2')}, "
+        "orientation={('v1', 'e1'): 1, ('v2', 'e1'): -1})",
+        ({"vertices": ["v1"], "edges": [], "endpoints": {}, "orientation": {}},
+         (("v1",), (), {}, {})),
+        [(["v1", "v2", "v3"], ["e1"], {"e1": ("v1", "v2")}, _TAU),
+         (["v1", "v2"], ["e1"], {"e1": ("v1", "v1")}, {("v1", "e1"): 1}),
+         (["v1", "v2"], ["e1"], {"e1": ("v1", "v2")}, {("v1", "e1"): 1, ("v2", "e1"): 1})],
+        [(["v1", "v1"], ["e1"], {"e1": ("v1", "v1")}, {("v1", "e1"): 1}),
+         (["v1", "v2"], ["e1"], {"e1": ("v1", "v3")}, _TAU),
+         (["v1", "v2"], ["e1"], {"e1": ("v1", "v2")}, {("v1", "e1"): 1}),
+         (["v1", "v2"], ["e1"], {"e1": ("v1", "v2")}, {("v1", "e1"): 1, ("v2", "e1"): 2})],
+        id="OrientedSignedGraph",
     ),
 ]
 

@@ -3,7 +3,6 @@
 import argparse
 import importlib
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import ohmatrix
@@ -50,7 +49,7 @@ def test_backticked_api_names_exist():
     # the package or one of its modules, a verify option, or a test function.
     text = README.read_text(encoding="utf-8")
     names = {name for name in re.findall(r"`([a-z_][a-z0-9_]*)`", text) if "_" in name}
-    known = set(dir(ohmatrix)) | {f.name for f in fields(ohmatrix.VerifyOptions)}
+    known = set(dir(ohmatrix)) | set(ohmatrix.VerifyOptions.__match_args__)
     for module in ("core", "matrices", "walks", "signed", "io", "verify", "cli"):
         known |= set(dir(importlib.import_module(f"ohmatrix.{module}")))
     for path in TESTS.rglob("*.py"):

@@ -388,22 +388,28 @@ def test_importing_the_cli_loads_no_pickle():
     assert proc.stdout == "[]\n"
 
 
-def test_validate_and_walk_matrix_load_no_dataclasses(tmp_path):
-    # The value classes are plain slotted classes and take their annotation
-    # names from collections.abc, so only verify and linegraph, whose
-    # dataclasses live in verify.py and signed.py, load dataclasses and
-    # with it inspect.  -S: some installs' site hooks load typing themselves.
-    path = tmp_path / "g.json"
+def test_no_command_loads_dataclasses(tmp_path):
+    # Every value class, the four in verify.py and signed.py included, is a
+    # plain slotted class on core._Value, and annotation names come from
+    # collections.abc, so no command loads dataclasses, or inspect and
+    # typing with it.  -S: some installs' site hooks load typing themselves.
+    path, theta = tmp_path / "g.json", tmp_path / "theta.json"
     path.write_text(serialize_instance(path3()))
+    theta.write_text('{"v1": 1, "v2": -1, "v3": 1}')
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = textwrap.dedent("""
         import sys
         from ohmatrix.cli import main
-        assert main(["validate", sys.argv[1]]) == 0
-        assert main(["walk-matrix", sys.argv[1], "--rows", "V", "--cols", "V", "--n", "4"]) == 0
+        g, theta = sys.argv[1:]
+        for argv in (["verify", "--trials", "2"], ["verify", g], ["linegraph", g],
+                     ["walks", g, "--from", "v1", "--to", "v3", "--n", "4"], ["dual", g],
+                     ["switch", g, "--theta", theta], ["matrix", "laplacian", g],
+                     ["random", "--seed", "1", "--vertices", "3", "--edges", "2"],
+                     ["validate", g], ["walk-matrix", g, "--rows", "V", "--cols", "V", "--n", "4"]):
+            assert main(argv) == 0, argv
         print(sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
     """)
-    proc = subprocess.run([sys.executable, "-S", "-c", code, str(path)], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(path), str(theta)], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
 

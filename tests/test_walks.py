@@ -221,6 +221,28 @@ class TestWalkCounts:
         counts = walk_counts(double_incidence(), "v1", "v1", 2, weak=True)
         assert counts.total == 4 and counts.signed_net == 0
 
+    def test_counts_come_from_the_search_without_building_walks(self, monkeypatch):
+        # Every anchor pair of a seeded non-simple instance, strict and weak:
+        # the counts equal the signs of the enumerated walks, and still come
+        # out once building a Walk raises.
+        g = random_instance(5, 4, 3, 3, simple=False, non_simple_rate=0.5)
+        anchors = (*g.vertices, *g.edges)
+        expected = {}
+        for start, end in itertools.product(anchors, repeat=2):
+            odd = (start in g.vertex_index) != (end in g.vertex_index)
+            for n, weak in itertools.product(range(odd, 5, 2), (False, True)):
+                signs = [walk_sign(g, w) for w in enumerate_walks(g, start, end, n, weak)]
+                expected[start, end, n, weak] = WalkCounts(signs.count(1), signs.count(-1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Walk was built")
+
+        monkeypatch.setattr(ohmatrix.walks, "Walk", refuse)
+        for (start, end, n, weak), counts in expected.items():
+            assert walk_counts(g, start, end, n, weak) == counts, (start, end, n, weak)
+        with pytest.raises(AssertionError, match="a Walk was built"):
+            enumerate_walks(g, g.vertices[0], g.vertices[0], 0)
+
     def test_total_and_net_are_derived_from_the_signed_counts(self):
         counts = WalkCounts(positive=3, negative=5)
         assert WalkCounts.__match_args__ == ("positive", "negative")
