@@ -37,7 +37,7 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls.__match_args__ = tuple([f for f in cls.__slots__ if f != "__dict__"])
         cls._key = attrgetter(*cls.__match_args__)
 
     def __eq__(self, other: object) -> bool:
@@ -53,7 +53,7 @@ class _Value:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+        return self.__class__, tuple([getattr(self, f) for f in self.__match_args__])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -150,7 +150,7 @@ class OrientedHypergraph(_Value):
             v, e = vi[inc.vertex], ei[inc.edge]
             at_vertex[v].append((e, inc.sign, inc))
             at_edge[e].append((v, inc.sign, inc))
-        return tuple(map(tuple, at_vertex)), tuple(map(tuple, at_edge))
+        return tuple([*map(tuple, at_vertex)]), tuple([*map(tuple, at_edge)])
 
     def _anchor_row(self, label: str, is_vertex: bool):
         """The ``_walk_tables`` row of vertex or edge ``label``."""
@@ -267,9 +267,9 @@ def incidence_dual(g: OrientedHypergraph) -> OrientedHypergraph:
     return OrientedHypergraph(
         vertices=g.edges,
         edges=g.vertices,
-        incidences=tuple(
+        incidences=tuple([
             Incidence(inc.edge, inc.vertex, inc.mult_index, inc.sign) for inc in g.incidences
-        ),
+        ]),
     )
 
 
@@ -287,9 +287,9 @@ def switch(g: OrientedHypergraph, theta: SwitchingFunction) -> OrientedHypergrap
     return OrientedHypergraph(
         vertices=g.vertices,
         edges=g.edges,
-        incidences=tuple(
+        incidences=tuple([
             inc if theta(inc.vertex) == 1
             else Incidence(inc.vertex, inc.edge, inc.mult_index, -inc.sign)
             for inc in g.incidences
-        ),
+        ]),
     )

@@ -208,8 +208,8 @@ def random_instance(
                 f"with only {n_vertices} vertices"
             )
     rng = random.Random(seed)
-    vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
-    edges = tuple(f"e{j}" for j in range(1, n_edges + 1))
+    vertices = tuple([f"v{i}" for i in range(1, n_vertices + 1)])
+    edges = tuple([f"e{j}" for j in range(1, n_edges + 1)])
     incidences: list[Incidence] = []
     for e in edges:
         size = rng.randint(min_edge_size, max_edge_size)
@@ -262,8 +262,8 @@ def random_bidirected_instance(seed: int, n_vertices: int, n_edges: int) -> Orie
     # listing them.  Rank r is the r-th pair (a, b), a < b, in lexicographic
     # order; the pairs led by a hold ranks [start, start + n_vertices - a).
     ranks = sorted(rng.sample(range(n_pairs), n_edges))
-    vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
-    edges = tuple(f"e{j}" for j in range(1, n_edges + 1))
+    vertices = tuple([f"v{i}" for i in range(1, n_vertices + 1)])
+    edges = tuple([f"e{j}" for j in range(1, n_edges + 1)])
     incidences = []
     a, start = 1, 0
     for e, r in zip(edges, ranks):

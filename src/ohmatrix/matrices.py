@@ -21,6 +21,11 @@ running product packed into one int; ``walk_matrix`` chooses the start.
 ``H``, ``A``, both Laplacians and the walk steps come from two constructions
 over the incidence tables, one-incidence and pair steps, so ``L = D - A``
 and ``L = H H^T`` compare independent computations.
+
+Every tuple in the package is built from a list, never from a generator,
+``map``, ``zip`` or ``filter``: CPython allocates such a tuple at ten slots
+and shrinks it, and the interpreter-wide free list of its final length then
+keeps it after release, about 1 MB over a 40-trial verify family.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class LabeledIntegerMatrix(_Value):
     ) -> None:
         object.__setattr__(self, "row_labels", tuple(row_labels))
         object.__setattr__(self, "col_labels", tuple(col_labels))
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
+        object.__setattr__(self, "entries", tuple([tuple(row) for row in entries]))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -105,7 +110,7 @@ class LabeledIntegerMatrix(_Value):
         return cls(
             labels,
             labels,
-            tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)),
+            tuple([tuple([values[i] if i == j else 0 for j in range(n)]) for i in range(n)]),
         )
 
     @property
@@ -123,7 +128,7 @@ class LabeledIntegerMatrix(_Value):
     def transpose(self) -> "LabeledIntegerMatrix":
         # zip(*()) has no rows to give, so a matrix without rows needs its
         # empty columns spelled out.
-        rows = tuple(zip(*self.entries)) if self.entries else ((),) * len(self.col_labels)
+        rows = tuple([*zip(*self.entries)]) if self.entries else ((),) * len(self.col_labels)
         return LabeledIntegerMatrix._trusted(self.col_labels, self.row_labels, rows)
 
     @cached_property
@@ -131,14 +136,14 @@ class LabeledIntegerMatrix(_Value):
         # Each row's nonzero (column, value) pairs, derived once per matrix
         # for the products that take it as their right factor and the pushes
         # through it.
-        return tuple(tuple((j, b) for j, b in enumerate(row) if b) for row in self.entries)
+        return tuple([tuple([(j, b) for j, b in enumerate(row) if b]) for row in self.entries])
 
     def _entrywise(self, other: "LabeledIntegerMatrix", op) -> "LabeledIntegerMatrix":
         if not isinstance(other, LabeledIntegerMatrix):
             return NotImplemented
         if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
             raise ValueError("matrix labels do not match")
-        rows = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
+        rows = tuple([tuple([*map(op, r1, r2)]) for r1, r2 in zip(self.entries, other.entries)])
         return LabeledIntegerMatrix._trusted(self.row_labels, self.col_labels, rows)
 
     def __add__(self, other: "LabeledIntegerMatrix") -> "LabeledIntegerMatrix":
@@ -254,11 +259,11 @@ def _signed(
     # D_r M D_c for the diagonal +1/-1 matrices of the signs, without
     # products: each row is multiplied entrywise by the column signs, or by
     # their negation where its row sign is -1.
-    flipped = tuple(map(neg, col_signs))
-    rows = tuple(
-        tuple(map(mul, row, col_signs if s == 1 else flipped))
+    flipped = tuple([*map(neg, col_signs)])
+    rows = tuple([
+        tuple([*map(mul, row, col_signs if s == 1 else flipped)])
         for s, row in zip(row_signs, m.entries)
-    )
+    ])
     return LabeledIntegerMatrix._trusted(m.row_labels, m.col_labels, rows)
 
 

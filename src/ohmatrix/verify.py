@@ -138,7 +138,7 @@ class VerificationReport(_Value):
 
     @property
     def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(r for r in self.results if r.status == "fail")
+        return tuple([r for r in self.results if r.status == "fail"])
 
     def passed(self) -> bool:
         return not self.failures and self.complete
@@ -268,7 +268,7 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
         theta_rng = random.Random(theta_seed)
         checked, diff, plus = set(), None, (1,) * len(g.edges)
         for _ in range(options.switching_trials):
-            values = tuple(theta_rng.choice((1, -1)) for _ in g.vertices)
+            values = tuple([theta_rng.choice((1, -1)) for _ in g.vertices])
             if values in checked:
                 continue
             checked.add(values)
@@ -452,7 +452,7 @@ def run_verify_suite(
     # The one place the report is ordered: a check runs once per trial, and
     # a single instance is the only trial, so (name, trial) is a total order.
     results.sort(key=lambda r: (r.check_name, r.trial))
-    return VerificationReport(tuple(results), tuple(note for _, note in sorted(notes)))
+    return VerificationReport(tuple(results), tuple([note for _, note in sorted(notes)]))
 
 
 def format_report(report: VerificationReport) -> str:

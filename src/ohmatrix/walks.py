@@ -198,17 +198,17 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     for row in (*at_vertex, *at_edge):
         row.sort(key=lambda entry: (entry[0], entry[2].mult_index))
     here, there = (at_vertex, at_edge) if start_is_vertex else (at_edge, at_vertex)
-    pairs = tuple(
-        tuple(
+    pairs = tuple([
+        tuple([
             (target, -s1 * s2, first, second)
             for mid, s1, first in steps
             for target, s2, second in there[mid]
             if weak or second is not first
-        )
+        ])
         for steps in here
-    ) if n >= 2 else ()
+    ]) if n >= 2 else ()
     if n == 0:
-        last = tuple(((idx, 1),) for idx in range(len(here)))
+        last = tuple([((idx, 1),) for idx in range(len(here))])
     else:
         last = here if n % 2 else pairs
     totals = [len(row) for row in last]

@@ -91,6 +91,27 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def test_every_tuple_is_built_from_a_list():
+    # tuple() over a generator, map, zip or filter allocates ten slots and
+    # shrinks them, and CPython parks the shrunk tuple on a free list when it
+    # is released; a list gives tuple() its exact length.
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "tuple" and node.args):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.GeneratorExp) or (
+                isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                and arg.func.id in ("map", "zip", "filter")
+            ):
+                sites.append((path.name, node.lineno))
+    assert not sites, "tuple() over an iterator at " + ", ".join(
+        f"{name}:{line}" for name, line in sorted(sites)
+    )
+
+
 class TestLabeledIntegerMatrix:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate row"):

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -59,6 +62,25 @@ def test_family_mode_passes_and_is_deterministic():
     second = run_verify_suite(seed=17, options=FAST)
     assert first == second
     assert first.passed(), format_report(first)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's tuple free lists")
+def test_family_leaves_few_tuples_on_the_free_lists():
+    # A tuple built from an iterator without a length hint is allocated at
+    # ten slots and shrunk, and on its release it is kept on the free list of
+    # its final length; a full gc.collect() empties those lists.  Tuples
+    # built from lists are reused from them, so little is left to release.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run_verify_suite(seed=0, options=VerifyOptions(trials=40))
+        held = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        released = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.passed()
+    assert released < 400 * 1024
 
 
 def test_family_runs_no_per_pair_or_per_vertex_enumeration(monkeypatch):
