@@ -4,17 +4,17 @@ Everything here is plain Python integers, so arithmetic never overflows and
 equality is exact.  Matrix equality requires equal row labels, equal column
 labels, and equal entries.
 
-Storage is dense, but products skip zero terms: most factors here are
-mostly zero (the switching matrices are diagonal).  Each matrix derives its
-rows' nonzero ``(column, value)`` pairs once, in a cached view that every
-product taking it as the right factor reads.  Validation happens once, at
-``LabeledIntegerMatrix(...)``; the results of arithmetic on validated
-matrices are built from their operands and are not validated again.  This
-module is the only one that loops over stored rows or builds a matrix
-without validating it: ``+`` and ``-`` share one entrywise kernel, and
-``_signed`` gives ``D_r M D_c`` for diagonal +1/-1 sign matrices entry by
-entry, for unary minus and for the switching check in ``verify``, which pass
-all-plus signs for a side they leave alone.  ``_pushed`` gives
+Storage is dense; a matrix is its labels and entries alone.  Each kernel
+derives the rows it reads, as their nonzero ``(column, value)`` pairs, once
+per call: ``@`` from its right factor, so its products (verify's three and
+``power``'s) skip zero terms, and ``_pushed`` from its step and start.
+Validation happens once, at ``LabeledIntegerMatrix(...)``; the results of
+arithmetic on validated matrices are built from their operands and are not
+validated again.  This module is the only one that loops over stored rows or
+builds a matrix without validating it: ``+`` and ``-`` share one entrywise
+kernel, and ``_signed`` gives ``D_r M D_c`` for diagonal +1/-1 sign matrices
+entry by entry, for unary minus and for the switching check in ``verify``,
+which pass all-plus signs for a side they leave alone.  ``_pushed`` gives
 ``step^k start`` for ``walk_matrix`` without products, each row of the
 running product packed into one int; ``walk_matrix`` chooses the start.
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from operator import add, mul, neg, sub
 
 from .core import OrientedHypergraph, SwitchingFunction, _Value, _require_int
@@ -50,7 +49,7 @@ class LabeledIntegerMatrix(_Value):
     ones.
     """
 
-    __slots__ = ("row_labels", "col_labels", "entries", "__dict__")
+    __slots__ = ("row_labels", "col_labels", "entries")
 
     def __init__(
         self,
@@ -131,13 +130,6 @@ class LabeledIntegerMatrix(_Value):
         rows = tuple([*zip(*self.entries)]) if self.entries else ((),) * len(self.col_labels)
         return LabeledIntegerMatrix._trusted(self.col_labels, self.row_labels, rows)
 
-    @cached_property
-    def _nonzero_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # Each row's nonzero (column, value) pairs, derived once per matrix
-        # for the products that take it as their right factor and the pushes
-        # through it.
-        return tuple([tuple([(j, b) for j, b in enumerate(row) if b]) for row in self.entries])
-
     def _entrywise(self, other: "LabeledIntegerMatrix", op) -> "LabeledIntegerMatrix":
         if not isinstance(other, LabeledIntegerMatrix):
             return NotImplemented
@@ -163,7 +155,7 @@ class LabeledIntegerMatrix(_Value):
         # Gustavson's row-by-row product: row i of the result is the sum of
         # a_ij times row j of other, over the nonzero a_ij and the nonzero
         # entries of that row only.
-        sparse_rows = other._nonzero_rows
+        sparse_rows = _nonzero_rows(other)
         width = len(other.col_labels)
         rows = []
         for row in self.entries:
@@ -201,6 +193,11 @@ class LabeledIntegerMatrix(_Value):
 _CAST_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
+def _nonzero_rows(m: LabeledIntegerMatrix) -> list[list[tuple[int, int]]]:
+    # Each row's nonzero (column, value) pairs.
+    return [[(j, b) for j, b in enumerate(row) if b] for row in m.entries]
+
+
 def _row_norm(sparse_rows) -> int:
     # The largest absolute row sum of a matrix given by its nonzero rows:
     # no entry of m x exceeds it times max |x|.
@@ -220,10 +217,12 @@ def _pushed(
     # complement.
     if k == 0:
         return start
-    cols, steps = start.col_labels, step._nonzero_rows
-    bits = (_row_norm(steps) ** k * _row_norm(start._nonzero_rows)).bit_length() + 1
+    # An even-n walk push starts at its step, whose rows are then read once.
+    cols, steps = start.col_labels, _nonzero_rows(step)
+    starts = steps if start is step else _nonzero_rows(start)
+    bits = (_row_norm(steps) ** k * _row_norm(starts)).bit_length() + 1
     width = next((w for w in _CAST_FORMATS if w >= bits), -(-bits // 8) * 8)
-    rows = [sum(b << width * j for j, b in terms) for terms in start._nonzero_rows]
+    rows = [sum(b << width * j for j, b in terms) for terms in starts]
     for _ in range(k):
         rows = [sum([b * rows[t] for t, b in terms]) for terms in steps]
     size, order, fmt = width // 8, sys.byteorder, _CAST_FORMATS.get(width)

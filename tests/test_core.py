@@ -227,6 +227,14 @@ def test_value_semantics(cls, args, fields, text, defaults, others, refused):
             cls(*bad)
 
 
+def test_matrix_is_its_fields():
+    # A matrix carries its three fields and nothing else: no instance
+    # dictionary to cache derived views in.
+    assert LabeledIntegerMatrix.__slots__ == LabeledIntegerMatrix.__match_args__
+    m = LabeledIntegerMatrix(["v1"], ["e1"], [[1]])
+    assert not hasattr(m, "__dict__")
+
+
 class TestValidate:
     def test_well_formed(self):
         assert validate(two_vertex_edge()) == []

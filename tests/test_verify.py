@@ -548,7 +548,7 @@ def test_switching_check_forms_no_matrix_products(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_walk_oracle_check_forms_each_power_once(monkeypatch):
+def test_walk_oracle_check_forms_three_products_and_no_power(monkeypatch):
     # walk_matrix(g, "V", "V", 2k) pushes rows through A without a product,
     # and verify forms no powers of A of its own.  On path3 the products are
     # H^T H, H H^T and the half-step product.

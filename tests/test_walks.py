@@ -1,4 +1,3 @@
-import functools
 import gc
 import itertools
 
@@ -474,24 +473,30 @@ class TestClosedForm:
         for (rows, cols, n, weak), oracle in expected.items():
             assert walk_matrix(g, rows, cols, n, weak=weak) == oracle
 
-    def test_scans_its_step_once(self, monkeypatch):
-        # Each of the n // 2 pushes reads the step's nonzero rows; they are
-        # derived on the first push only.
+    def test_scans_each_matrix_once(self, monkeypatch):
+        # A push derives the nonzero rows of its step and of its start once
+        # each, and an even-n push, which starts at its step, only the
+        # step's; a product derives its right factor's.
         scanned = []
-        derive = LabeledIntegerMatrix._nonzero_rows.func
+        derive = ohmatrix.matrices._nonzero_rows
 
         def counted(m):
             scanned.append(m)
             return derive(m)
 
-        prop = functools.cached_property(counted)
-        prop.__set_name__(LabeledIntegerMatrix, "_nonzero_rows")
-        monkeypatch.setattr(LabeledIntegerMatrix, "_nonzero_rows", prop)
+        monkeypatch.setattr(ohmatrix.matrices, "_nonzero_rows", counted)
         g = random_instance(5, 6, 6, 3)
-        w = walk_matrix(g, "V", "V", 8)
-        assert scanned == [adjacency_matrix(g)]
+        a, h = adjacency_matrix(g), incidence_matrix(g)
+        even = walk_matrix(g, "V", "V", 8)
+        assert scanned == [a]
+        scanned.clear()
+        odd = walk_matrix(g, "V", "E", 9)
+        assert scanned == [a, h]
+        scanned.clear()
+        a @ h
+        assert scanned == [h]
         monkeypatch.undo()
-        assert w == adjacency_matrix(g).power(4)
+        assert even == a.power(4) and odd == a.power(4) @ h
 
     def test_oracle_keeps_its_ceilings(self):
         with pytest.raises(ValueError, match="^incidence count must be at most 500, got 502$"):
