@@ -1,6 +1,6 @@
 """Single-site mutation sweep: which faults in a module does verify miss?
 
-Usage: python tests/mutation_sweep.py [MODULE.py ...]
+Usage: python tests/mutation_sweep.py [--by-check] [MODULE.py ...]
 
 The modules default to ``core.py``, ``matrices.py``, ``walks.py`` and
 ``signed.py`` of ``src/ohmatrix``; a name that is not a file is looked up
@@ -18,8 +18,12 @@ as a crash; each run may map at most 1 GiB, so a runaway mutant stops with
 a ``MemoryError``.  Otherwise its stdout and exit code are compared with the
 unmutated copy's: a difference counts as caught by verify, and a match as a
 survivor.  The script prints one table row per module and then every
-survivor, grouped by function.  It takes a few minutes, so the test suite
-does not run it.
+survivor, grouped by function.  With ``--by-check`` it also lists, for
+each caught mutant, the checks that FAIL in its report, and after the
+module table each check's kills (the caught mutants it fails on) and sole
+kills (those it alone fails on); a mutant that fails no check changed only
+which checks ran.  It takes a few minutes, so the test suite does not run
+it.
 """
 
 from __future__ import annotations
@@ -133,7 +137,15 @@ def _judge(root: str, timeout: float | None) -> tuple[int, str, str]:
     return run.returncode, run.stdout, run.stderr
 
 
+def _failing_checks(out: str) -> list[str]:
+    """The names of the checks that a verify report marks FAIL."""
+    fails = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+    return list(dict.fromkeys(fails))
+
+
 def main(argv: list[str]) -> int:
+    by_check = "--by-check" in argv
+    argv = [arg for arg in argv if arg != "--by-check"]
     modules = [(Path(arg) if Path(arg).is_file() else PACKAGE / arg).resolve()
                for arg in argv or ("core.py", "matrices.py", "walks.py", "signed.py")]
     package = modules[0].parent
@@ -143,7 +155,7 @@ def main(argv: list[str]) -> int:
     if any(module.parent != package for module in modules):
         print("error: the modules must share one package", file=sys.stderr)
         return 2
-    rows, survivors = [], defaultdict(list)
+    rows, survivors, caught = [], defaultdict(list), []
     with tempfile.TemporaryDirectory() as root:
         copy = Path(root) / package.name
         shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
@@ -162,6 +174,7 @@ def main(argv: list[str]) -> int:
                     counts["crash"] += 1
                 elif (code, out) != baseline[:2]:
                     counts["caught"] += 1
+                    caught.append((module.name, function, what, _failing_checks(out)))
                 else:
                     counts["survive"] += 1
                     survivors[module.name, function].append(what)
@@ -172,11 +185,29 @@ def main(argv: list[str]) -> int:
     print("|---|---|---|---|---|")
     for row in rows:
         print("| " + " | ".join(map(str, row)) + " |")
+    if by_check:
+        _print_by_check(caught)
     print("\nSurvivors by function:")
     for (module, function), whats in survivors.items():
         lines = "; ".join(f"{line}:{column} {what}" for line, column, what in sorted(whats))
         print(f"- {module} `{function}` ({len(whats)}): {lines}")
     return 0
+
+
+def _print_by_check(caught) -> None:
+    """Each caught mutant's failing checks, then each check's kills and sole kills."""
+    kills, sole = defaultdict(int), defaultdict(int)
+    print("\nCaught mutants and the checks that FAIL:")
+    for module, function, (line, column, what), checks in caught:
+        print(f"- {module} `{function}` {line}:{column} {what}: "
+              + (", ".join(checks) if checks else "no check fails"))
+        for check in checks or ("(no check fails)",):
+            kills[check] += 1
+            sole[check] += len(checks) == 1
+    print("\n| check | kills | sole kills |")
+    print("|---|---|---|")
+    for check in sorted(kills, key=lambda name: (-kills[name], name)):
+        print(f"| {check} | {kills[check]} | {sole[check]} |")
 
 
 if __name__ == "__main__":

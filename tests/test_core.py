@@ -154,7 +154,7 @@ VALUE_CASES = [
          "switching_trials", "max_walks"),
         "VerifyOptions(trials=10, max_vertices=6, max_edges=7, max_edge_size=3, "
         "max_walk_incidences=6, switching_trials=4, max_walks=500)",
-        ({"trials": 10}, (10, 8, 8, 4, 8, 20, DEFAULT_MAX_WALKS)),
+        ({"trials": 10}, (10, 8, 8, 4, 8, 1, DEFAULT_MAX_WALKS)),
         [(*_OPTIONS[:i], _OPTIONS[i] + 1, *_OPTIONS[i + 1:]) for i in range(7)],
         [(True, *_OPTIONS[1:]), (10, 6.0, *_OPTIONS[2:]), (10, 0, *_OPTIONS[2:]),
          (*_OPTIONS[:6], 0), (*_OPTIONS[:4], 501, *_OPTIONS[5:])],
