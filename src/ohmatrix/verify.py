@@ -3,14 +3,13 @@
 Every matrix identity the library promises is checked against independent
 reconstructions, most of them through the brute-force walk search
 (:func:`oracle_walk_matrix` and :func:`oracle_walk_counts`, one search per
-source anchor, recursing once per pair step, about n/2 deep).  The strict
-vertex-to-vertex walks of every even n are tallied by one such search per
-vertex, at each of its depths.  ``VerifyOptions.max_walks`` bounds the
-walks each search may generate at each depth; a trial that reaches a depth
-over it is reported INCOMPLETE.  Each distinct random switching drawn for
-an instance (one per instance by default) is checked once: the matrices of
-the switched instance against ``D^T A D``, ``D H`` and ``D^T L D``,
-computed entrywise from the drawn signs without products.
+source anchor, recursing once per pair step, about n/2 deep).
+``VerifyOptions.max_walks`` bounds the walks each of those searches may
+generate; a trial whose search would exceed it is reported INCOMPLETE.
+Each distinct random switching drawn for an instance (one per instance by
+default) is checked once: the matrices of the switched instance against
+``D^T A D``, ``D H`` and ``D^T L D``, computed entrywise from the drawn
+signs without products.
 A failing check always carries a reproducible counterexample: the canonical
 serialization of the instance plus the first differing entries, and the
 seeds that regenerate it.
@@ -56,7 +55,6 @@ from .walks import (
     DEFAULT_MAX_WALKS,
     INCIDENCE_CAP,
     EnumerationLimitError,
-    _oracle_depths,
     oracle_walk_counts,
     oracle_walk_matrix,
     walk_matrix,
@@ -79,10 +77,9 @@ class VerifyOptions(_Value):
     each distinct one is checked once.  The default, one per instance, is
     what the mutation sweep supports: twenty kill no more of its faults and
     change no passing report, but a fault that only a rare switching
-    pattern exposes needs more draws.
-    ``max_walks`` is the one ceiling of each oracle search (one per source
-    anchor), on the walks it generates at each depth; a search that would
-    generate more at a depth the checks reach cuts its trial short, and
+    pattern exposes needs more draws.  ``max_walks`` is the one ceiling
+    of each oracle search (one per source anchor), on the walks it
+    generates; a search that would generate more cuts its trial short, and
     the report is INCOMPLETE.  Counts that are not ``int`` (bools and
     floats included) raise ValueError.  Negative counts do too, since they
     would pass checks that never ran, and so do size caps and walk ceilings
@@ -231,13 +228,9 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
         "L", lap,
     )
 
-    # One strict search per source vertex tallies the walks of every even n
-    # from 2 up: its n = 2 counts and one weak search's serve every check on
-    # one-step walks below, and a deeper n over the walk ceiling is refused
-    # only when the power loop reaches it.
-    strict = _oracle_depths(g, "V", "V", 2 * max(1, options.max_walk_incidences // 2),
-                            max_walks=max_walks, low=0)
-    plus, minus = next(strict)
+    # One strict and one weak search per source vertex serve every check
+    # on one-step walks below.
+    plus, minus = oracle_walk_counts(g, "V", "V", 2, max_walks=max_walks)
     weak_plus, weak_minus = oracle_walk_counts(g, "V", "V", 2, weak=True, max_walks=max_walks)
     weak_total = weak_plus + weak_minus
 
@@ -246,14 +239,11 @@ def _identity_diffs(g: OrientedHypergraph, options: VerifyOptions, theta_seed: i
     oracle_diff = None
     for k in range(options.max_walk_incidences // 2 + 1):
         label = f"signed {k}-step walk counts"
-        if k == 0:
-            counts = oracle_walk_matrix(g, "V", "V", 0, max_walks=max_walks)
-        elif k == 1:
+        if k == 1:
             counts = plus - minus
             oracle_diff = _matrix_diff("A^1", a, label, counts)
         else:
-            positive, negative = next(strict)
-            counts = positive - negative
+            counts = oracle_walk_matrix(g, "V", "V", 2 * k, max_walks=max_walks)
         oracle_diff = oracle_diff or _matrix_diff(
             f"walk matrix at n={2 * k}", walk_matrix(g, "V", "V", 2 * k), label, counts
         )

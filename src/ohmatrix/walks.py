@@ -26,7 +26,7 @@ every walk one by one.  It builds and sorts its own per-anchor index from
 ``g.incidences``, reading neither the unsorted index that the matrix builders
 it checks share nor ``g.incidence_sort_key``.  One ceiling, ``max_walks`` on
 the walks a search generates, keeps each run bounded: each plan counts every
-search's walks at each depth before any walk is generated, and a depth with
+search's walks in one pass before any walk is generated, and a search with
 too many is refused up front.  A search also refuses incidence counts above
 ``INCIDENCE_CAP``, which keeps its recursion shallow.  Walk matrices are
 computed in closed form instead, as powers of one pair-step matrix (see
@@ -178,10 +178,10 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     from anchor a, in canonical order; the two incidences are distinct
     objects unless ``weak``.  ``last[a]`` lists the final steps from a: the
     pair steps for even n, the one-incidence steps ``(end, sign, inc)`` for
-    odd n, and the trivial ``(a, 1)`` for n = 0, with no sort.  Every entry's
-    incidences are its items from index 2 on.  ``totals[d][a]`` counts the
-    walks from a at depth d (d interior pair steps, then a last step), pulled
-    back through the pair rows once per depth from the last rows' lengths.
+    odd n, and the trivial ``(a, 1)`` for n = 0.  Every entry's incidences
+    are its items from index 2 on.  ``totals[a]`` is the number of walks
+    :func:`_search` generates from a, pulled back through the pair rows
+    once per interior step from the lengths of the last rows.
 
     The rows come from ``g.incidences``, sorted here by the other anchor's
     position and ``mult_index``: this sort alone gives :func:`enumerate_walks`
@@ -192,7 +192,7 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
     """
     if n == 0:
         count = len(g.vertices if start_is_vertex else g.edges)
-        return (), [[(idx, 1)] for idx in range(count)], [[1] * count]
+        return (), [[(idx, 1)] for idx in range(count)], [1] * count
     at_vertex, at_edge = [[] for _ in g.vertices], [[] for _ in g.edges]
     for inc in g.incidences:
         v, e = g.vertex_index[inc.vertex], g.edge_index[inc.edge]
@@ -211,43 +211,38 @@ def _plan(g: OrientedHypergraph, start_is_vertex: bool, n: int, weak: bool):
         for steps in here
     ]) if n >= 2 else ()
     last = here if n % 2 else pairs
-    totals = [[len(row) for row in last]]
+    totals = [len(row) for row in last]
     for _ in range((n - 1) // 2):
-        totals.append([sum(totals[-1][entry[0]] for entry in row) for row in pairs])
+        totals = [sum(totals[entry[0]] for entry in row) for row in pairs]
     return pairs, last, totals
 
 
-def _search(plan, starts, low: int, max_walks: int, visit, states) -> int:
-    """The one walk search: depth-first from each anchor in ``starts``, in
-    canonical order, whatever the endpoint, down to the first depth from
-    ``low`` at which some start's plan total is above ``max_walks``, and
-    refused before its first walk if that is ``low``; returns that depth.
-    :func:`_descend` calls ``visit(state, idx, prefix, sign)`` with the
-    start's entry of ``states`` once per anchor ``idx`` reached at each
-    depth from ``low``: ``prefix`` (the live stack) and ``sign`` cover the
-    interior pair steps, and each entry of the last row at ``idx`` ends a walk.
+def _search(plan, start: int, n: int, max_walks: int, visit, state) -> None:
+    """The one walk search: depth-first over every walk with ``n`` incidences
+    from one anchor, in canonical order, whatever the endpoint.
+
+    A search whose plan total is above ``max_walks`` is refused before it
+    generates any walk.  Otherwise :func:`_descend` takes (n - 1) // 2
+    interior pair steps for n > 0 and calls ``visit(state, idx, prefix,
+    sign)`` once per anchor ``idx`` reached, where ``prefix`` (the live
+    stack) and ``sign`` cover the interior steps; each entry of ``plan``'s
+    last row at ``idx`` completes one walk.
     """
-    totals, stop = plan[2], low
-    while stop < len(totals) and all(totals[stop][start] <= max_walks for start in starts):
-        stop += 1
-    if stop == low:
+    if plan[2][start] > max_walks:
         raise EnumerationLimitError(f"walk enumeration exceeded the ceiling of {max_walks} walks")
-    for start, state in zip(starts, states):
-        _descend(plan[0], [], visit, state, start, stop - 1, 1, stop - 1 - low)
-    return stop
+    _descend(plan[0], [], visit, state, start, max(0, (n - 1) // 2), 1)
 
 
-def _descend(pairs, prefix, visit, state, idx: int, steps: int, sign: int, spare: int) -> None:
-    """Every way on from anchor ``idx`` through ``steps`` more pair rows,
-    visiting each anchor reached with at most ``spare`` steps left."""
-    if steps <= spare:
-        visit(state, idx, prefix, sign)
+def _descend(pairs, prefix: list[Incidence], visit, state, idx: int, steps: int, sign: int) -> None:
+    """Every way on from anchor ``idx`` through ``steps`` more pair rows."""
     if steps:
         for target, step_sign, first, second in pairs[idx]:
             prefix.append(first)
             prefix.append(second)
-            _descend(pairs, prefix, visit, state, target, steps - 1, sign * step_sign, spare)
+            _descend(pairs, prefix, visit, state, target, steps - 1, sign * step_sign)
             del prefix[-2:]
+    else:
+        visit(state, idx, prefix, sign)
 
 
 def _keep(state, idx: int, prefix: list[Incidence], sign: int) -> None:
@@ -259,13 +254,10 @@ def _keep(state, idx: int, prefix: list[Incidence], sign: int) -> None:
             found.append((sign * entry[1], (*prefix, *entry[2:])))
 
 
-def _tally(state, idx: int, prefix: list[Incidence], sign: int) -> None:
+def _tally(state, idx: int, _prefix: list[Incidence], sign: int) -> None:
     """Count each walk completed at ``idx`` at its endpoint, in ``plus`` or
-    ``minus`` by its sign, where ``state`` is ``(ends, rows)`` and ``plus``
-    and ``minus`` are the two rows at the length of ``prefix``."""
-    ends, rows = state
-    at = len(prefix)
-    plus, minus = rows[at], rows[at + 1]
+    ``minus`` by its sign, where ``state`` is ``(ends, plus, minus)``."""
+    ends, plus, minus = state
     same, flipped = ends[idx]
     if sign < 0:
         same, flipped = flipped, same
@@ -275,29 +267,18 @@ def _tally(state, idx: int, prefix: list[Incidence], sign: int) -> None:
         minus[end] += 1
 
 
-def _tallies(g, start_is_vertex, end_is_vertex, n: int, weak, max_walks, starts, low=None):
+def _tallies(g, start_is_vertex: bool, end_is_vertex: bool, n: int, weak: bool, max_walks, starts):
     """Per start index in ``starts``, one search's walks counted by sign at
-    each endpoint index, as rows of positive and of negative counts, yielded
-    per depth from ``low`` (by default the deepest, n itself); a depth that
-    its own search would refuse raises only when it is reached."""
+    each endpoint index, as rows of positive and of negative counts."""
     _require_walks(start_is_vertex, end_is_vertex, n, max_walks)
     plan = _plan(g, start_is_vertex, n, weak)
-    low = len(plan[2]) - 1 if low is None else low
     # Each last row split by sign once: a walk is then one counter increment.
     ends = [([e[0] for e in row if e[1] > 0], [e[0] for e in row if e[1] < 0]) for row in plan[1]]
     width = len(g.vertices if end_is_vertex else g.edges)
-    # table[2d] and table[2d + 1]: every start's positive and negative rows at
-    # depth d, where a walk's prefix has 2d incidences; a start's state holds
-    # its column.
-    table = [[None] * len(starts)] * 2 * low + [
-        [[0] * width for _ in starts] for _ in range(2 * (len(plan[2]) - low))
-    ]
-    stop = _search(plan, starts, low, max_walks, _tally, [(ends, rows) for rows in zip(*table)])
-    for at in range(2 * low, 2 * stop, 2):
-        yield table[at], table[at + 1]
-    if stop < len(plan[2]):
-        # A depth past the stop is refused here, as its own search refuses it.
-        _search(plan, starts, stop, max_walks, _tally, ())
+    positive, negative = [[0] * width for _ in starts], [[0] * width for _ in starts]
+    for start, plus, minus in zip(starts, positive, negative):
+        _search(plan, start, n, max_walks, _tally, (ends, plus, minus))
+    return positive, negative
 
 
 def _signed_walks(g, start: str, end: str, n: int, weak: bool, max_walks: int) -> list:
@@ -307,7 +288,7 @@ def _signed_walks(g, start: str, end: str, n: int, weak: bool, max_walks: int) -
     _require_walks(start_is_vertex, end_is_vertex, n, max_walks)
     plan = _plan(g, start_is_vertex, n, weak)
     found: list[tuple[int, tuple[Incidence, ...]]] = []
-    _search(plan, (origin,), len(plan[2]) - 1, max_walks, _keep, ((plan[1], target, found),))
+    _search(plan, origin, n, max_walks, _keep, (plan[1], target, found))
     return [
         (sign, Walk((start, *(inc.edge if (h % 2 == 0) == start_is_vertex else inc.vertex
                               for h, inc in enumerate(incs))), incs, weak))
@@ -344,8 +325,8 @@ def walk_counts(
 ) -> WalkCounts:
     """Totals of :func:`enumerate_walks` output split by sign, tallied without building a walk."""
     (start_is_vertex, origin), (end_is_vertex, target) = _anchor(g, start), _anchor(g, end)
-    (plus,), (minus,) = next(_tallies(g, start_is_vertex, end_is_vertex, half_length_numerator,
-                                      weak, max_walks, (origin,)))
+    (plus,), (minus,) = _tallies(g, start_is_vertex, end_is_vertex, half_length_numerator, weak,
+                                 max_walks, (origin,))
     return WalkCounts(plus[target], minus[target])
 
 
@@ -364,17 +345,15 @@ def oracle_walk_counts(
     is what :func:`walk_counts` gives as ``positive`` and ``negative`` for
     the pair.  ``max_walks`` bounds each search.
     """
-    return next(_oracle_depths(g, row_anchors, col_anchors, half_length_numerator, weak, max_walks))
-
-
-def _oracle_depths(g, rows, cols, n: int, weak=False, max_walks=DEFAULT_MAX_WALKS, low=None):
-    """:func:`oracle_walk_counts` from one search per row anchor at each
-    depth from ``low`` (2, 4, ..., n from 0 for even n), as :func:`_tallies`."""
-    (row_labels, rows_vertex), (col_labels, cols_vertex) = _family(g, rows), _family(g, cols)
-    for positive, negative in _tallies(g, rows_vertex, cols_vertex, n, weak, max_walks,
-                                       range(len(row_labels)), low):
-        yield (LabeledIntegerMatrix(row_labels, col_labels, positive),
-               LabeledIntegerMatrix(row_labels, col_labels, negative))
+    row_labels, rows_vertex = _family(g, row_anchors)
+    col_labels, cols_vertex = _family(g, col_anchors)
+    positive, negative = _tallies(
+        g, rows_vertex, cols_vertex, half_length_numerator, weak, max_walks, range(len(row_labels))
+    )
+    return (
+        LabeledIntegerMatrix(row_labels, col_labels, positive),
+        LabeledIntegerMatrix(row_labels, col_labels, negative),
+    )
 
 
 def oracle_walk_matrix(

@@ -1,6 +1,6 @@
 """Single-site mutation sweep: which faults in a module does verify miss?
 
-Usage: python tests/mutation_sweep.py [--by-check] [MODULE.py ...]
+Usage: python tests/mutation_sweep.py [MODULE.py ...]
 
 The modules default to ``core.py``, ``matrices.py``, ``walks.py`` and
 ``signed.py`` of ``src/ohmatrix``; a name that is not a file is looked up
@@ -17,13 +17,12 @@ or runs ten times longer than the unmutated copy (plus ten seconds) counts
 as a crash; each run may map at most 1 GiB, so a runaway mutant stops with
 a ``MemoryError``.  Otherwise its stdout and exit code are compared with the
 unmutated copy's: a difference counts as caught by verify, and a match as a
-survivor.  The script prints one table row per module and then every
-survivor, grouped by function.  With ``--by-check`` it also lists, for
-each caught mutant, the checks that FAIL in its report, and after the
-module table each check's kills (the caught mutants it fails on) and sole
-kills (those it alone fails on); a mutant that fails no check changed only
-which checks ran.  It takes a few minutes, so the test suite does not run
-it.
+survivor.  The script prints one table row per module; then, for each
+caught mutant, the checks that FAIL in its report, and each check's kills
+(the caught mutants it fails on) and sole kills (those it alone fails on),
+where a mutant that fails no check changed only which checks ran; then
+every survivor, grouped by function.  It takes a few minutes, so the test
+suite does not run it.
 """
 
 from __future__ import annotations
@@ -144,8 +143,6 @@ def _failing_checks(out: str) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    by_check = "--by-check" in argv
-    argv = [arg for arg in argv if arg != "--by-check"]
     modules = [(Path(arg) if Path(arg).is_file() else PACKAGE / arg).resolve()
                for arg in argv or ("core.py", "matrices.py", "walks.py", "signed.py")]
     package = modules[0].parent
@@ -185,8 +182,7 @@ def main(argv: list[str]) -> int:
     print("|---|---|---|---|---|")
     for row in rows:
         print("| " + " | ".join(map(str, row)) + " |")
-    if by_check:
-        _print_by_check(caught)
+    _print_by_check(caught)
     print("\nSurvivors by function:")
     for (module, function), whats in survivors.items():
         lines = "; ".join(f"{line}:{column} {what}" for line, column, what in sorted(whats))

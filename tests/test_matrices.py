@@ -55,7 +55,7 @@ def test_the_walk_oracle_reads_nothing_it_checks():
                           "incidences_at_edge", "degree", "edge_size", "_anchor_row",
                           "walk_matrix"}
     todo = ["enumerate_walks", "walk_counts", "backstep_count", "oracle_walk_counts",
-            "oracle_walk_matrix", "_oracle_depths", "walk_sign"]
+            "oracle_walk_matrix", "walk_sign"]
     seen, readers = set(), {}
     while todo:
         name = todo.pop()

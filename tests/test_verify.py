@@ -155,7 +155,7 @@ def test_resource_ceiling_flags_incomplete_report():
 
 
 @pytest.mark.parametrize("n, fails", [(0, True), (2, True), (4, True), (6, False), (8, False)])
-def test_a_power_fault_below_a_refused_depth_still_fails(monkeypatch, n, fails):
+def test_a_power_fault_below_a_refused_n_still_fails(monkeypatch, n, fails):
     # uniform3_edge's strict searches generate 2, 4, 8 and 16 walks per vertex
     # at n = 2, 4, 6 and 8, so a ceiling of 5 refuses n = 6 and beyond.  A
     # fault the power loop meets below that FAILs, and the trial is complete;
@@ -441,29 +441,19 @@ def test_no_switching_trials_reports_no_switching_check():
 
 @pytest.mark.parametrize("weak", [False, True])
 def test_corrupted_walk_counts_fail_the_count_checks(monkeypatch, weak):
-    # Both count checks read their walk totals from one search per source,
-    # the strict one's first depth (n = 2) or the weak one; one extra
-    # positive walk at (v2, v3) must show in each, naming the cell.
-    real_counts, real_depths = ohmatrix.verify.oracle_walk_counts, ohmatrix.verify._oracle_depths
+    # Both count checks read their walk totals from one search per source;
+    # one extra positive walk at (v2, v3) must show in each, naming the cell.
+    real = ohmatrix.verify.oracle_walk_counts
 
-    def one_extra(counts, corrupt):
-        positive, negative = counts
-        if corrupt:
+    def one_extra(*args, **kwargs):
+        positive, negative = real(*args, **kwargs)
+        if kwargs.get("weak", False) == weak:
             entries = [list(row) for row in positive.entries]
             entries[1][2] += 1
             positive = LabeledIntegerMatrix(positive.row_labels, positive.col_labels, entries)
         return positive, negative
 
-    def weak_counts(*args, **kwargs):
-        return one_extra(real_counts(*args, **kwargs), kwargs.get("weak", False) == weak)
-
-    def strict_depths(*args, **kwargs):
-        depths = real_depths(*args, **kwargs)
-        yield one_extra(next(depths), not weak)
-        yield from depths
-
-    monkeypatch.setattr(ohmatrix.verify, "oracle_walk_counts", weak_counts)
-    monkeypatch.setattr(ohmatrix.verify, "_oracle_depths", strict_depths)
+    monkeypatch.setattr(ohmatrix.verify, "oracle_walk_counts", one_extra)
     report = run_verify_suite(path3(), seed=0, options=FAST)
     failures = {r.check_name: r.counterexample for r in report.failures}
     for name in ("degree_backsteps", "laplacian_walk_entries"):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import ohmatrix.matrices
 import ohmatrix.walks
 from ohmatrix import (
-    DEFAULT_MAX_WALKS,
     EnumerationLimitError,
     Incidence,
     LabeledIntegerMatrix,
@@ -746,22 +745,18 @@ class TestSearch:
         for n, start_is_vertex in itertools.product(range(9), (True, False)):
             plan = ohmatrix.walks._plan(g, start_is_vertex, n, weak)
             for start in range(len(g.vertices if start_is_vertex else g.edges)):
-                # Walks generated at each depth, the search visiting from depth 0.
-                generated = [0] * len(plan[2])
-
-                def visit(_, idx, prefix, __):
-                    generated[len(prefix) // 2] += len(plan[1][idx])
-
-                ohmatrix.walks._search(plan, [start], 0, 10**9, visit, [None])
-                assert [totals[start] for totals in plan[2]] == generated
+                generated = []
+                ohmatrix.walks._search(plan, start, n, 10**9,
+                                       lambda _, idx, *__: generated.append(len(plan[1][idx])),
+                                       None)
+                assert plan[2][start] == sum(generated)
 
     def test_a_search_above_the_ceiling_is_refused_before_its_first_walk(self):
         plan = ohmatrix.walks._plan(two_vertex_edge(), True, 500, True)
         visits = []
         with pytest.raises(EnumerationLimitError,
                            match="^walk enumeration exceeded the ceiling of 1000 walks$"):
-            ohmatrix.walks._search(plan, [0], len(plan[2]) - 1, 1000,
-                                   lambda *args: visits.append(args), [None])
+            ohmatrix.walks._search(plan, 0, 500, 1000, lambda *args: visits.append(args), None)
         assert visits == []
 
     @pytest.mark.parametrize("weak", [False, True])
@@ -784,75 +779,3 @@ class TestSearch:
             if most > 1:
                 with pytest.raises(EnumerationLimitError, match="exceeded"):
                     oracle_walk_counts(g, "V", cols, n, weak, max_walks=most - 1)
-
-
-def _first_count(n):
-    """The incidence count of the shallowest depth of a search for n: 0 for
-    n = 0, else 1 or 2 by parity."""
-    return n % 2 or min(n, 2)
-
-
-def _as_own_searches(g, rows, cols, n, weak, max_walks, low):
-    """What one oracle_walk_counts call per count from depth ``low`` up to n
-    gives, stopping at the first refused one: the counts and whether one was."""
-    found = []
-    for m in range(_first_count(n) + 2 * low, n + 1, 2):
-        try:
-            found.append(oracle_walk_counts(g, rows, cols, m, weak, max_walks))
-        except EnumerationLimitError:
-            return found, True
-    return found, False
-
-
-def _assert_depths_as_own_searches(g, rows, cols, n, weak, max_walks, low):
-    expected, refused = _as_own_searches(g, rows, cols, n, weak, max_walks, low)
-    depths = ohmatrix.walks._oracle_depths(g, rows, cols, n, weak, max_walks, low)
-    assert list(itertools.islice(depths, len(expected))) == expected
-    if refused:
-        with pytest.raises(EnumerationLimitError,
-                           match=f"^walk enumeration exceeded the ceiling of {max_walks} walks$"):
-            next(depths)
-    else:
-        assert next(depths, None) is None
-
-
-class TestMultiDepthSearch:
-    @pytest.mark.parametrize("weak", [False, True])
-    @given(instances(max_vertices=4, max_edges=3))
-    @with_edge_cases()
-    def test_each_depth_counts_as_its_own_search(self, weak, g):
-        # One search per row anchor, tallied at every depth, gives at each
-        # depth what a search for that count alone gives: at every n up to 8,
-        # for every family pair and every first depth.
-        for rows, cols, odd in FAMILY_PAIRS:
-            for n in range(odd, 9, 2):
-                for low in range(max(1, (n - 1) // 2 + 1)):
-                    _assert_depths_as_own_searches(g, rows, cols, n, weak, DEFAULT_MAX_WALKS, low)
-
-    @given(instances(max_vertices=4, max_edges=3), st.integers(1, 30))
-    @with_edge_cases(5)
-    def test_each_depth_is_refused_as_its_own_search(self, g, max_walks):
-        # A depth whose own search would be refused raises when it is
-        # reached, the depths above it having been yielded, whatever the
-        # counts do further down.
-        for rows, cols, odd in FAMILY_PAIRS:
-            n = 8 - odd
-            for low in range((n - 1) // 2 + 1):
-                _assert_depths_as_own_searches(g, rows, cols, n, False, max_walks, low)
-
-    def test_a_count_that_falls_with_depth_is_refused_only_at_its_depth(self):
-        # v1's only edges have size 1, so it has four walks to an edge at
-        # n = 1 and none at 3, 5 or 7; v2 and v3 share e5 and have one at
-        # every odd n.  The most walks per search falls from 4 to 1, so a
-        # ceiling of 3 refuses n = 1 alone.  Strict even-n counts never fall:
-        # an anchor reached by a pair step can always step back.
-        g = OrientedHypergraph(
-            ("v1", "v2", "v3"), ("e1", "e2", "e3", "e4", "e5"),
-            (*(Incidence("v1", e, 1, 1) for e in ("e1", "e2", "e3", "e4")),
-             Incidence("v2", "e5", 1, 1), Incidence("v3", "e5", 1, -1)),
-        )
-        with pytest.raises(EnumerationLimitError):
-            oracle_walk_counts(g, "V", "E", 1, max_walks=3)
-        oracle_walk_counts(g, "V", "E", 7, max_walks=3)
-        for low in range(4):
-            _assert_depths_as_own_searches(g, "V", "E", 7, False, 3, low)
