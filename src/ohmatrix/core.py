@@ -29,8 +29,8 @@ class _Value:
     ``"__dict__"`` when it caches properties), and its ``__init__`` sets
     them with ``object.__setattr__``.  An instance then equals only an
     instance of the same class with equal fields, hashes like the tuple of
-    its fields, prints as ``Name(field=value, ...)``, pickles and copies
-    through its constructor, and refuses assignment and deletion.
+    its fields, prints as ``Name(field=value, ...)``, is copied and
+    serialized through its constructor, and refuses assignment and deletion.
     """
 
     __slots__ = ()

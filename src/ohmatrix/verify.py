@@ -14,22 +14,13 @@ A failing check always carries a reproducible counterexample: the canonical
 serialization of the instance plus the first differing entries, and the
 seeds that regenerate it.
 
-Family trials are dealt round-robin to parts, one per CPU the process may
-use (``os.sched_getaffinity``): the caller runs the first part and a forked
-child runs each other one.  :func:`run_verify_suite` sorts the parts'
-unsorted rows once, so the report does not depend on the part count.
-Single-instance mode never enters the parts driver; ``taskset -c 0`` and a
-caller with more than one thread run one part in process.  A part's error
-or death is raised once every part has ended; an error in the caller's own
-part, or an interrupt, kills the other parts at once.  An in-process tracer
-or profiler, and the caller's own peak memory, see only the caller's part.
+Family trials run in order in the calling process, so an in-process
+tracer or profiler, and the process's peak memory, see every trial.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import sys
 
 from .core import (
     OrientedHypergraph,
@@ -75,7 +66,7 @@ class VerifyOptions(_Value):
     ``INCIDENCE_CAP``; the oracle's search recurses about n/2 deep.
     ``switching_trials`` random switchings are drawn per instance, and
     each distinct one is checked once.  The default, one per instance, is
-    what the mutation sweep supports: twenty kill no more of its faults and
+    what the mutation sweep supports: twenty catch no more of its faults and
     change no passing report, but a fault that only a rare switching
     pattern exposes needs more draws.  ``max_walks`` is the one ceiling
     of each oracle search (one per source anchor), on the walks it
@@ -305,8 +296,8 @@ def _instance_checks(
     trial: int | None,
     options: VerifyOptions,
     theta_seed: int,
-) -> tuple[list[CheckResult], list[tuple[int | None, str]]]:
-    """Each check's result on ``g``, or none and a ``(trial, note)`` if a ceiling cut it short."""
+) -> tuple[list[CheckResult], list[str]]:
+    """Each check's result on ``g``, or none and a note if a ceiling cut it short."""
     summary = _summary(g, trial)
     try:
         return [
@@ -316,7 +307,7 @@ def _instance_checks(
         ], []
     except EnumerationLimitError as exc:
         where = "single instance" if trial is None else f"trial {trial}"
-        return [], [(trial, f"{where}: {exc}")]
+        return [], [f"{where}: {exc}"]
 
 
 def _family_instance(trial_seed: int, options: VerifyOptions) -> tuple[OrientedHypergraph, int]:
@@ -333,103 +324,6 @@ def _family_instance(trial_seed: int, options: VerifyOptions) -> tuple[OrientedH
     return g, trng.getrandbits(64)
 
 
-def _check_part(
-    part: list[tuple[int, int]],
-    seed: int,
-    options: VerifyOptions,
-) -> tuple[list[CheckResult], list[tuple[int, str]]]:
-    """Results and ``(trial, note)`` pairs of the ``(trial, master seed)``
-    family trials in ``part``."""
-    results, notes = [], []
-    for trial, trial_seed in part:
-        g, theta_seed = _family_instance(trial_seed, options)
-        trial_results, trial_notes = _instance_checks(g, seed, trial, options, theta_seed)
-        results += trial_results
-        notes += trial_notes
-    return results, notes
-
-
-def _check_parts(
-    targets: list[tuple[int, int]],
-    seed: int,
-    options: VerifyOptions,
-) -> tuple[list[CheckResult], list[tuple[int, str]]]:
-    """Results and ``(trial, note)`` pairs of the family trials, dealt
-    round-robin to one part per usable CPU, in no particular order."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = min(len(targets), cpus)
-    # A thread can only have been started if threading was imported.
-    threading = sys.modules.get("threading")
-    threaded = threading is not None and threading.active_count() > 1
-    if count < 2 or not hasattr(os, "fork") or threaded:
-        return _check_part(targets, seed, options)
-    import pickle
-    import signal
-
-    children = []  # (pid, read end of its pipe, its first trial), in part order
-    payloads: list[bytes] = []
-    # Signals wait while the children are forked and registered, and again
-    # while they are killed and reaped: an interrupt inside those steps
-    # would leave a child unowned, or run the caller's code in a child.
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-    try:
-        for p in range(1, count):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                # The child never returns into the caller: os._exit skips
-                # the caller's code, its atexit hooks and its unflushed
-                # buffers.
-                code = 1
-                try:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    try:
-                        payload = _check_part(targets[p::count], seed, options)
-                    except Exception as exc:
-                        payload = exc
-                    with os.fdopen(write_fd, "wb") as out:
-                        pickle.dump(payload, out)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), targets[p][0]))
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        results, notes = _check_part(targets[::count], seed, options)
-        payloads = [pipe.read() for _, pipe, _ in children]
-    finally:
-        # An error or interrupt leaves no child behind, even one blocked on
-        # a full pipe; a child that sent all its bytes is left to exit.
-        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        try:
-            for pid, pipe, _ in children:
-                pipe.close()
-                if len(payloads) < len(children):
-                    os.kill(pid, signal.SIGKILL)
-            statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    for (_, _, first), status, data in zip(children, statuses, payloads):
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise ChildProcessError(
-                f"the verify part of trials from {first} in steps of {count} ended with {how}"
-                " before sending its results"
-            )
-        payload = pickle.loads(data)
-        if isinstance(payload, Exception):
-            raise payload
-        results += payload[0]
-        notes += payload[1]
-    return results, notes
-
-
 def run_verify_suite(
     instance: OrientedHypergraph | None = None,
     *,
@@ -441,8 +335,8 @@ def run_verify_suite(
     With an ``instance`` the checks run once on it (the seed still feeds the
     random switching functions).  Without one, ``options.trials`` instances
     are generated from ``seed``, one master seed per trial, and checked in
-    one part per usable CPU.  Output ordering is canonical: results are
-    sorted by check name, then trial, whatever the part count.
+    order in the calling process.  Output ordering is canonical: results
+    are sorted by check name, then trial, and notes come in trial order.
     """
     master = random.Random(seed)
     if instance is not None:
@@ -451,12 +345,16 @@ def run_verify_suite(
             raise ValueError("instance is invalid: " + "; ".join(problems))
         results, notes = _instance_checks(instance, seed, None, options, master.getrandbits(64))
     else:
-        targets = [(trial, master.getrandbits(64)) for trial in range(options.trials)]
-        results, notes = _check_parts(targets, seed, options)
+        results, notes = [], []
+        for trial in range(options.trials):
+            g, theta_seed = _family_instance(master.getrandbits(64), options)
+            trial_results, trial_notes = _instance_checks(g, seed, trial, options, theta_seed)
+            results += trial_results
+            notes += trial_notes
     # The one place the report is ordered: a check runs once per trial, and
     # a single instance is the only trial, so (name, trial) is a total order.
     results.sort(key=lambda r: (r.check_name, r.trial))
-    return VerificationReport(tuple(results), tuple([note for _, note in sorted(notes)]))
+    return VerificationReport(tuple(results), tuple(notes))
 
 
 def format_report(report: VerificationReport) -> str:

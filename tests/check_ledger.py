@@ -3,7 +3,7 @@
 Usage: taskset -c 0 python tests/check_ledger.py
 
 Runs the trials of the ten ``verify-family`` seeds ``i * 100003``
-(i = 0..9, 100 trials each) in this process and one part, and reads
+(i = 0..9, 100 trials each) in this process, as verify does, and reads
 ``time.process_time()`` at each yield of ``verify._identity_diffs``: the CPU
 since the previous yield is charged to the check just yielded, so the first
 check also carries the builders that every later check shares.  Building a
