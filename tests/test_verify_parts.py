@@ -69,7 +69,7 @@ def test_a_corrupted_adjacency_fails_switching_conjugation(monkeypatch):
     assert "A after switching differs from conjugated A at" in text
 
 
-def test_an_error_in_a_trial_keeps_its_type_and_message(monkeypatch, capsys):
+def _fail_trial_8(monkeypatch, error):
     # Each trial builds one instance, so the ninth build is trial 8's.
     real = ohmatrix.verify.random_instance
     built = []
@@ -77,13 +77,24 @@ def test_an_error_in_a_trial_keeps_its_type_and_message(monkeypatch, capsys):
     def faulty(*args, **kwargs):
         built.append(1)
         if len(built) % 9 == 0:
-            raise ValueError("no instance for trial 8")
+            raise error
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ohmatrix.verify, "random_instance", faulty)
-    with pytest.raises(ValueError, match=r"^no instance for trial 8$") as raised:
+
+
+def test_an_error_in_a_trial_keeps_its_type(monkeypatch):
+    # The error itself leaves the run, not a subclass or a wrapper.
+    _fail_trial_8(monkeypatch, LookupError("no instance for trial 8"))
+    with pytest.raises(LookupError, match=r"^no instance for trial 8$") as raised:
         run_verify_suite(seed=0, options=VerifyOptions(trials=9))
-    assert type(raised.value) is ValueError
+    assert type(raised.value) is LookupError
+
+
+def test_an_error_in_a_trial_is_raised_by_the_caller(monkeypatch, capsys):
+    _fail_trial_8(monkeypatch, ValueError("no instance for trial 8"))
+    with pytest.raises(ValueError, match=r"^no instance for trial 8$"):
+        run_verify_suite(seed=0, options=VerifyOptions(trials=9))
     assert main(["verify", "--seed", "0", "--trials", "9"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: no instance for trial 8\n")
